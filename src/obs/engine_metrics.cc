@@ -43,6 +43,9 @@ EngineMetrics& EngineMetrics::Get() {
     m->storage_partitions_dropped = r.GetCounter("storage.partitions_dropped");
     m->storage_mapped_bytes = r.GetGauge("storage.mapped_bytes");
 
+    m->oracle_seal_ns = r.GetHistogram("oracle.seal_ns");
+    m->oracle_history_rows = r.GetGauge("oracle.history_rows");
+
     m->pool_tasks_submitted = r.GetCounter("pool.tasks_submitted");
     m->pool_tasks_completed = r.GetCounter("pool.tasks_completed");
     m->pool_queue_depth = r.GetGauge("pool.queue_depth");

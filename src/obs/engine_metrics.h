@@ -58,6 +58,10 @@ struct EngineMetrics {
   Counter* storage_partitions_dropped;  // partitions forgotten whole (O(1))
   Gauge* storage_mapped_bytes;          // bytes currently mmap'd (all tables)
 
+  // --- ground-truth oracle (measurement apparatus, not system time) ----
+  Histogram* oracle_seal_ns;     // GroundTruthOracle::Seal wall time
+  Gauge* oracle_history_rows;    // values in the last sealed history
+
   // --- thread pool ------------------------------------------------------
   Counter* pool_tasks_submitted;
   Counter* pool_tasks_completed;

@@ -3,34 +3,11 @@
 #include "query/oracle.h"
 
 #include <algorithm>
-#include <atomic>
-#include <limits>
+#include <chrono>
 
-#include "common/thread_pool.h"
+#include "obs/engine_metrics.h"
 
 namespace amnesia {
-
-namespace {
-
-/// Morsel size for parallel history scans; matches the table scan default.
-constexpr uint64_t kOracleMorselRows = uint64_t{1} << 16;
-
-uint64_t CountSlice(const std::vector<Value>& values, Value lo, Value hi,
-                    ThreadPool& pool, size_t max_workers) {
-  std::atomic<uint64_t> total{0};
-  pool.ParallelFor(0, values.size(), kOracleMorselRows, max_workers,
-                   [&](uint64_t begin, uint64_t end) {
-                     uint64_t local = 0;
-                     for (uint64_t i = begin; i < end; ++i) {
-                       const Value v = values[i];
-                       if (v >= lo && v < hi) ++local;
-                     }
-                     total.fetch_add(local, std::memory_order_relaxed);
-                   });
-  return total.load();
-}
-
-}  // namespace
 
 void GroundTruthOracle::Append(Value v) {
   if (values_.empty() && pending_.empty()) {
@@ -45,16 +22,39 @@ void GroundTruthOracle::Append(Value v) {
 
 void GroundTruthOracle::Seal() {
   if (pending_.empty()) return;
-  values_.insert(values_.end(), pending_.begin(), pending_.end());
+  const auto start = std::chrono::steady_clock::now();
+  std::sort(pending_.begin(), pending_.end());
+  size_t first_changed = 0;
+  if (values_.empty()) {
+    values_.swap(pending_);
+  } else {
+    // Entries below the smallest new value keep their positions, and so
+    // do their prefix sums; only the suffix from here on is merged and
+    // re-summed.
+    first_changed = static_cast<size_t>(
+        std::upper_bound(values_.begin(), values_.end(), pending_.front()) -
+        values_.begin());
+    const size_t old_size = values_.size();
+    values_.insert(values_.end(), pending_.begin(), pending_.end());
+    std::inplace_merge(values_.begin() + first_changed,
+                       values_.begin() + old_size, values_.end());
+  }
   pending_.clear();
-  std::sort(values_.begin(), values_.end());
-  prefix_sum_.assign(values_.size() + 1, 0.0);
-  prefix_sq_.assign(values_.size() + 1, 0.0);
-  for (size_t i = 0; i < values_.size(); ++i) {
+  // Same sequential recurrence as a rebuild from index 0, so every sum is
+  // bit-identical to one.
+  prefix_sum_.resize(values_.size() + 1, 0.0);
+  prefix_sq_.resize(values_.size() + 1, 0.0);
+  for (size_t i = first_changed; i < values_.size(); ++i) {
     const double v = static_cast<double>(values_[i]);
     prefix_sum_[i + 1] = prefix_sum_[i] + v;
     prefix_sq_[i + 1] = prefix_sq_[i] + v * v;
   }
+  obs::EngineMetrics& metrics = obs::EngineMetrics::Get();
+  metrics.oracle_seal_ns->Record(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count()));
+  metrics.oracle_history_rows->Set(static_cast<int64_t>(values_.size()));
 }
 
 StatusOr<uint64_t> GroundTruthOracle::CountRange(Value lo, Value hi) const {
@@ -65,14 +65,6 @@ StatusOr<uint64_t> GroundTruthOracle::CountRange(Value lo, Value hi) const {
   const auto first = std::lower_bound(values_.begin(), values_.end(), lo);
   const auto last = std::lower_bound(values_.begin(), values_.end(), hi);
   return static_cast<uint64_t>(last - first);
-}
-
-uint64_t GroundTruthOracle::CountRangeParallel(Value lo, Value hi,
-                                               ThreadPool& pool,
-                                               size_t max_workers) const {
-  if (lo >= hi) return 0;
-  return CountSlice(values_, lo, hi, pool, max_workers) +
-         CountSlice(pending_, lo, hi, pool, max_workers);
 }
 
 StatusOr<Value> GroundTruthOracle::ValueAt(uint64_t i) const {

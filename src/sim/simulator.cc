@@ -281,9 +281,8 @@ StatusOr<QueryPrecision> Simulator::RunOneRangeQuery() {
   opts.engine = config_.engine;
   AMNESIA_ASSIGN_OR_RETURN(ResultSet result,
                            executor_->ExecuteRange(pred, opts));
-  // The oracle is sealed after every batch, so its O(log n) sorted path
-  // beats any parallel rescan of the history; CountRangeParallel is for
-  // unsealed/cold histories only.
+  // The oracle is sealed after every batch, so ground truth is an O(log n)
+  // lookup in its sorted history.
   AMNESIA_ASSIGN_OR_RETURN(uint64_t truth,
                            oracle_.CountRange(pred.lo, pred.hi));
   return MakeRangePrecision(result.size(), truth);

@@ -213,14 +213,22 @@ StatusOr<uint64_t> Table::DropPartition(size_t idx, bool defer_unlink) {
   // keeps, recovery is consistent — rename lost: partition intact under
   // its live name; journal record lost: partition restores intact from
   // the .dropped name and its rows come back active.
-  if (::rename(live.c_str(), dropped.c_str()) != 0) {
-    // Re-drop after a crash between rename and journal flush: the source
-    // is gone but the target exists (or, when the unlink also completed
-    // and the drop record survived, both are gone) — proceed either way.
-    if (errno != ENOENT || DirExists(live)) {
-      return Status::Internal("rename '" + live + "' -> '" + dropped +
-                              "': " + std::strerror(errno));
-    }
+  int err = ::rename(live.c_str(), dropped.c_str()) == 0 ? 0 : errno;
+  if (err == ENOTEMPTY || err == EEXIST) {
+    // Replay re-sealed a partition the live run had sealed and dropped
+    // (the log tail past the newest manifest covers both): the live name
+    // holds the re-sealed, fsync'd bytes and the .dropped name a stale
+    // copy of the same rows. Removing the stale copy first keeps the
+    // argument above: until the rename lands, the live name is intact.
+    AMNESIA_RETURN_NOT_OK(RemoveDirRecursive(dropped));
+    err = ::rename(live.c_str(), dropped.c_str()) == 0 ? 0 : errno;
+  }
+  // Re-drop after a crash between rename and journal flush: the source is
+  // gone but the target exists (or, when the unlink also completed and
+  // the drop record survived, both are gone) — proceed either way.
+  if (err != 0 && (err != ENOENT || DirExists(live))) {
+    return Status::Internal("rename '" + live + "' -> '" + dropped +
+                            "': " + std::strerror(err));
   }
   AMNESIA_RETURN_NOT_OK(FsyncDir(storage_.dir));
 

@@ -372,6 +372,49 @@ TEST(MappedRecoveryTest, JournaledDropReplaysOnRecovery) {
   EXPECT_EQ(CheckpointTable(state.shards[0]), CheckpointTable(table));
 }
 
+TEST(MappedRecoveryTest, ReplayRedropsPartitionSealedPastTheManifest) {
+  // The log tail past the only manifest both seals partition 0 and drops
+  // it. The live run left the partition under `part-0-63.dropped`
+  // (deferred unlink), so replay re-seals `part-0-63` next to it and must
+  // still be able to replay the drop's rename.
+  ScratchDir dir("amnesia_mapped_redrop_test");
+  EventLog log = EventLog::Open(dir.file("events.log")).value();
+  Table table = MakeLoadedMappedTable(dir.file("storage"), 10, 67);
+
+  CheckpointerOptions opts;
+  opts.dir = dir.file("ckpt");
+  opts.async = false;
+  opts.log = &log;
+  BackgroundCheckpointer ckpt = BackgroundCheckpointer::Make(opts).value();
+  ASSERT_TRUE(ckpt.Checkpoint(table, log.next_lsn()).ok());
+
+  Event append;
+  append.kind = EventKind::kAppendRows;
+  append.columns.resize(1);
+  for (Value v = 0; v < 90; ++v) append.columns[0].push_back(v * 7);
+  ASSERT_TRUE(table.AppendColumns(append.columns).ok());
+  ASSERT_TRUE(log.Append(append).ok());
+  ASSERT_EQ(table.partitions().size(), 1u);
+  ASSERT_TRUE(table.DropPartition(0, /*defer_unlink=*/true).ok());
+  Event drop;
+  drop.kind = EventKind::kDropPartition;
+  drop.row = 0;
+  drop.value = 64;
+  ASSERT_TRUE(log.Append(drop).ok());
+  ASSERT_TRUE(log.Flush().ok());
+  ASSERT_TRUE(fs::exists(dir.file("storage/part-0-63.dropped")));
+
+  StatusOr<RecoveredState> recovered =
+      Recover(dir.file("ckpt"), dir.file("events.log"));
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  const RecoveredState& state = recovered.value();
+  ASSERT_EQ(state.shards.size(), 1u);
+  EXPECT_EQ(state.shards[0].num_forgotten(), 64u);
+  EXPECT_EQ(CheckpointTable(state.shards[0]), CheckpointTable(table));
+  EXPECT_FALSE(fs::exists(dir.file("storage/part-0-63")));
+  EXPECT_TRUE(fs::exists(dir.file("storage/part-0-63.dropped")));
+}
+
 TEST(MappedRecoveryTest, TornPartitionFileFailsRecovery) {
   ScratchDir dir("amnesia_mapped_tornpart_test");
   Table table = MakeLoadedMappedTable(dir.file("storage"), 200, 59);

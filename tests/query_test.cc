@@ -5,13 +5,17 @@
 // equivalence and the summary blending.
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "index/index_manager.h"
+#include "obs/engine_metrics.h"
 #include "query/executor.h"
 #include "query/oracle.h"
 #include "query/predicate.h"
@@ -181,23 +185,175 @@ TEST(OracleTest, CountRangeAfterSeal) {
   EXPECT_EQ(oracle.CountRange(6, 1).value(), 0u);
 }
 
-TEST(OracleTest, CountRangeParallelMatchesSerialSealedOrNot) {
-  GroundTruthOracle oracle;
-  Rng rng(4);
-  ThreadPool pool(3);
-  for (int i = 0; i < 1000; ++i) oracle.Append(rng.UniformInt(0, 500));
-  oracle.Seal();
-  // Unsealed tail on top of the sorted history.
-  for (int i = 0; i < 333; ++i) oracle.Append(rng.UniformInt(0, 500));
+/// Reference oracle: every seal re-sorts the whole history and rebuilds
+/// both prefix sums from index 0. IncrementalSealMatchesFullResort holds
+/// GroundTruthOracle's merging seal to it bit for bit.
+class ResortingOracle {
+ public:
+  void Append(Value v) { values_.push_back(v); }
 
-  // The parallel scan needs no Seal(): it covers sealed + pending.
-  EXPECT_EQ(oracle.CountRangeParallel(0, 501, pool), oracle.size());
-  EXPECT_EQ(oracle.CountRangeParallel(100, 100, pool), 0u);
-  const uint64_t unsealed = oracle.CountRangeParallel(50, 300, pool);
+  void Seal() {
+    std::sort(values_.begin(), values_.end());
+    prefix_sum_.assign(values_.size() + 1, 0.0);
+    prefix_sq_.assign(values_.size() + 1, 0.0);
+    for (size_t i = 0; i < values_.size(); ++i) {
+      const double v = static_cast<double>(values_[i]);
+      prefix_sum_[i + 1] = prefix_sum_[i] + v;
+      prefix_sq_[i + 1] = prefix_sq_[i] + v * v;
+    }
+  }
+
+  const std::vector<Value>& values() const { return values_; }
+
+  uint64_t CountRange(Value lo, Value hi) const {
+    if (lo >= hi) return 0;
+    return static_cast<uint64_t>(
+        std::lower_bound(values_.begin(), values_.end(), hi) -
+        std::lower_bound(values_.begin(), values_.end(), lo));
+  }
+
+  AggregateResult AggregateRange(Value lo, Value hi) const {
+    AggregateResult out;
+    if (lo >= hi) return out;
+    const auto begin = values_.begin();
+    const size_t first = static_cast<size_t>(
+        std::lower_bound(begin, values_.end(), lo) - begin);
+    const size_t last = static_cast<size_t>(
+        std::lower_bound(begin, values_.end(), hi) - begin);
+    if (first >= last) return out;
+    const uint64_t count = last - first;
+    const double sum = prefix_sum_[last] - prefix_sum_[first];
+    const double sq = prefix_sq_[last] - prefix_sq_[first];
+    out.count = count;
+    out.sum = sum;
+    out.avg = sum / static_cast<double>(count);
+    out.min = static_cast<double>(values_[first]);
+    out.max = static_cast<double>(values_[last - 1]);
+    out.variance = sq / static_cast<double>(count) - out.avg * out.avg;
+    if (out.variance < 0.0) out.variance = 0.0;
+    return out;
+  }
+
+ private:
+  std::vector<Value> values_;
+  std::vector<double> prefix_sum_;
+  std::vector<double> prefix_sq_;
+};
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Checks every answer of `oracle` against `ref` over `probes` random
+/// ranges plus the whole history; aggregates must match bit for bit.
+void ExpectSameAnswers(const GroundTruthOracle& oracle,
+                       const ResortingOracle& ref, Rng* rng, int probes) {
+  const std::vector<Value>& values = ref.values();
+  ASSERT_EQ(oracle.size(), values.size());
+  for (uint64_t i = 0; i < values.size(); ++i) {
+    ASSERT_EQ(oracle.ValueAt(i).value(), values[i]) << "index " << i;
+  }
+  EXPECT_EQ(oracle.ValueAt(values.size()).status().code(),
+            StatusCode::kOutOfRange);
+  std::vector<std::pair<Value, Value>> ranges = {
+      {std::numeric_limits<Value>::min(), std::numeric_limits<Value>::max()}};
+  for (int p = 0; p < probes; ++p) {
+    // Endpoints on stored values hit the duplicate-run boundaries.
+    auto endpoint = [&]() -> Value {
+      if (!values.empty() && rng->Bernoulli(0.5)) {
+        return values[rng->UniformIndex(values.size())] +
+               rng->UniformInt(-1, 1);
+      }
+      return rng->UniformInt(-2'000'000, 2'000'000);
+    };
+    ranges.emplace_back(endpoint(), endpoint());
+  }
+  for (const auto& [lo, hi] : ranges) {
+    ASSERT_EQ(oracle.CountRange(lo, hi).value(), ref.CountRange(lo, hi))
+        << "[" << lo << ", " << hi << ")";
+    const AggregateResult got = oracle.AggregateRange(lo, hi).value();
+    const AggregateResult want = ref.AggregateRange(lo, hi);
+    ASSERT_EQ(got.count, want.count) << "[" << lo << ", " << hi << ")";
+    ASSERT_TRUE(SameBits(got.sum, want.sum)) << got.sum << " vs " << want.sum;
+    ASSERT_TRUE(SameBits(got.avg, want.avg)) << got.avg << " vs " << want.avg;
+    ASSERT_TRUE(SameBits(got.variance, want.variance))
+        << got.variance << " vs " << want.variance;
+    ASSERT_TRUE(SameBits(got.min, want.min));
+    ASSERT_TRUE(SameBits(got.max, want.max));
+  }
+}
+
+TEST(OracleTest, IncrementalSealMatchesFullResort) {
+  enum Shape { kInterleaved, kBelowMin, kAboveMax, kDuplicates, kSingle,
+               kNothing, kShapes };
+  for (uint64_t seed : {1, 2, 3, 4}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    GroundTruthOracle oracle;
+    ResortingOracle ref;
+    // The first seal lands on an empty history (seed 4: a single value).
+    const int first = seed == 4 ? 1 : static_cast<int>(rng.UniformInt(1, 500));
+    for (int i = 0; i < first; ++i) {
+      const Value v = rng.UniformInt(-1'000'000, 1'000'000);
+      oracle.Append(v);
+      ref.Append(v);
+    }
+    oracle.Seal();
+    ref.Seal();
+    ASSERT_NO_FATAL_FAILURE(ExpectSameAnswers(oracle, ref, &rng, 50));
+
+    for (int batch = 0; batch < 60; ++batch) {
+      const auto shape = static_cast<Shape>(rng.UniformIndex(kShapes));
+      const int k = shape == kSingle    ? 1
+                    : shape == kNothing ? 0
+                                        : static_cast<int>(
+                                              rng.UniformInt(2, 400));
+      const Value lo = oracle.min_seen();
+      const Value hi = oracle.max_seen();
+      for (int i = 0; i < k; ++i) {
+        Value v = 0;
+        switch (shape) {
+          case kBelowMin:
+            v = lo - rng.UniformInt(1, 1000);
+            break;
+          case kAboveMax:
+            v = hi + rng.UniformInt(1, 1000);
+            break;
+          case kDuplicates:
+            // Repeats of stored values, the extremes among them.
+            v = rng.Bernoulli(0.25) ? (rng.Bernoulli(0.5) ? lo : hi)
+                                    : ref.values()[rng.UniformIndex(
+                                          ref.values().size())];
+            break;
+          default:
+            v = rng.UniformInt(lo, hi);
+            break;
+        }
+        oracle.Append(v);
+        ref.Append(v);
+      }
+      oracle.Seal();
+      ref.Seal();
+      if (shape == kNothing) oracle.Seal();  // idempotent on no pending
+      ASSERT_NO_FATAL_FAILURE(ExpectSameAnswers(oracle, ref, &rng, 20));
+    }
+  }
+}
+
+TEST(OracleTest, SealRecordsOracleMetricsOncePerMerge) {
+#if defined(AMNESIA_NO_METRICS)
+  GTEST_SKIP() << "metrics compiled out (AMNESIA_NO_METRICS)";
+#endif
+  obs::EngineMetrics& metrics = obs::EngineMetrics::Get();
+  const uint64_t before = metrics.oracle_seal_ns->Snapshot().count;
+  GroundTruthOracle oracle;
+  for (Value v : {3, 1, 2}) oracle.Append(v);
   oracle.Seal();
-  EXPECT_EQ(oracle.CountRange(50, 300).value(), unsealed);
-  EXPECT_EQ(oracle.CountRangeParallel(50, 300, pool),
-            oracle.CountRange(50, 300).value());
+  oracle.Seal();  // nothing pending: no work, no sample
+  oracle.Append(0);
+  oracle.Seal();
+  EXPECT_EQ(metrics.oracle_seal_ns->Snapshot().count - before, 2u);
+  EXPECT_EQ(metrics.oracle_history_rows->Value(), 4);
 }
 
 TEST(OracleTest, UnsealedQueriesFail) {
