@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "obs/engine_metrics.h"
 #include "obs/trace.h"
@@ -86,8 +87,6 @@ Status AmnesiaController::ForgetOne(RowId row) {
 
   switch (options_.backend) {
     case BackendKind::kMarkOnly:
-      AMNESIA_RETURN_NOT_OK(table_->Forget(row));
-      break;
     case BackendKind::kDelete:
       AMNESIA_RETURN_NOT_OK(table_->Forget(row));
       break;
@@ -109,42 +108,56 @@ Status AmnesiaController::ForgetOne(RowId row) {
       break;
     }
   }
-  if (event_sink_ != nullptr) {
-    Event event;
-    event.kind = EventKind::kForget;
-    event.shard = event_shard_;
-    event.row = row;
-    event.backend = static_cast<uint8_t>(options_.backend);
-    event.payload_col = static_cast<uint32_t>(options_.payload_col);
-    AMNESIA_RETURN_NOT_OK(event_sink_->Append(event));
-  }
-  // The scrub is journaled after the forget event, matching the replay
-  // order: Forget(row) must precede ScrubRow(row).
-  if (options_.backend == BackendKind::kDelete && options_.scrub_on_delete) {
-    if (event_sink_ != nullptr) {
-      Event event;
-      event.kind = EventKind::kScrub;
-      event.shard = event_shard_;
-      event.row = row;
-      event.value = 0;
-      AMNESIA_RETURN_NOT_OK(event_sink_->Append(event));
-      // Scrubbing a sealed row of a mapped table overwrites mmap'd file
-      // bytes, which survive a crash on their own. The journal must be
-      // durable first (write-ahead), or a crash here recovers a row whose
-      // payload is zeroed but whose metadata says it was never forgotten.
-      if (table_->mapped() && row < table_->sealed_rows()) {
-        AMNESIA_RETURN_NOT_OK(event_sink_->Flush());
-      }
-    }
-    AMNESIA_RETURN_NOT_OK(table_->ScrubRow(row));
-    obs::EngineMetrics::Get().amnesia_rows_scrubbed->Inc();
-    ++audit_.rows_scrubbed;
-  }
   ++audit_.rows_marked;
   audit_.tick_lo = std::min<uint64_t>(audit_.tick_lo, tick);
   audit_.tick_hi = std::max<uint64_t>(audit_.tick_hi, tick);
   ++stats_.tuples_forgotten;
-  obs::EngineMetrics::Get().amnesia_rows_forgotten->Inc();
+  return Status::OK();
+}
+
+Status AmnesiaController::ForgetSet(std::vector<RowId> victims) {
+  if (victims.empty()) return Status::OK();
+  std::sort(victims.begin(), victims.end());
+  if (std::adjacent_find(victims.begin(), victims.end()) != victims.end()) {
+    return Status::Internal("sweep holds a duplicate victim");
+  }
+  if (victims.back() >= table_->num_rows()) {
+    return Status::Internal("sweep victim out of range");
+  }
+  for (RowId row : victims) {
+    if (!table_->IsActive(row)) {
+      return Status::Internal("sweep victim " + std::to_string(row) +
+                              " is already forgotten");
+    }
+  }
+  for (RowId row : victims) AMNESIA_RETURN_NOT_OK(ForgetOne(row));
+  obs::EngineMetrics::Get().amnesia_rows_forgotten->Inc(victims.size());
+
+  const bool scrub =
+      options_.backend == BackendKind::kDelete && options_.scrub_on_delete;
+  if (event_sink_ != nullptr) {
+    Event event;
+    event.kind = EventKind::kForgetSet;
+    event.shard = event_shard_;
+    event.runs = RowRuns(victims);
+    event.backend = static_cast<uint8_t>(options_.backend);
+    event.payload_col = static_cast<uint32_t>(options_.payload_col);
+    event.scrub = scrub;
+    AMNESIA_RETURN_NOT_OK(event_sink_->Append(event));
+    // Scrubbing a sealed row of a mapped table overwrites mmap'd file
+    // bytes, which survive a crash on their own. The journal must be
+    // durable first (write-ahead), or a crash mid-scrub recovers a row
+    // whose payload is zeroed but whose metadata says it was never
+    // forgotten. Victims are sorted, so the first one decides.
+    if (scrub && table_->mapped() && victims.front() < table_->sealed_rows()) {
+      AMNESIA_RETURN_NOT_OK(event_sink_->Flush());
+    }
+  }
+  if (scrub) {
+    for (RowId row : victims) AMNESIA_RETURN_NOT_OK(table_->ScrubRow(row));
+    obs::EngineMetrics::Get().amnesia_rows_scrubbed->Inc(victims.size());
+    audit_.rows_scrubbed += victims.size();
+  }
   return Status::OK();
 }
 
@@ -201,6 +214,7 @@ Status AmnesiaController::FinishSweepAudit(AuditOp op) {
 
 StatusOr<uint64_t> AmnesiaController::VacuumExpired(uint32_t max_age_batches) {
   const BatchId current = table_->current_batch();
+  const std::string policy_name(PolicyKindToString(policy_->kind()));
   uint64_t vacuumed = 0;
   audit_ = SweepAudit{};
 
@@ -256,39 +270,49 @@ StatusOr<uint64_t> AmnesiaController::VacuumExpired(uint32_t max_age_batches) {
         // One latency sample per partition, dated by its NEWEST row: the
         // partition only became droppable when that row crossed the
         // deadline, so it bounds every row's deletion latency from below.
-        sla_->RecordDeletionLatency(
-            std::string(PolicyKindToString(policy_->kind())),
-            current - b - max_age_batches);
+        sla_->RecordDeletionLatency(policy_name,
+                                    current - b - max_age_batches);
       }
     }
   }
 
+  // Row-wise sweep over what the fast path left: from the oldest live row
+  // up to the first live row that has not expired. Batches are monotonic
+  // in row order, so every row past that one is younger too — the walk
+  // never visits the unexpired bulk of the table. Latency samples come in
+  // runs of equal value (non-increasing along the walk) and are recorded
+  // once per run.
   std::vector<RowId> expired;
+  uint64_t sample_latency = 0;
+  uint64_t sample_count = 0;
   const uint64_t n = table_->num_rows();
-  for (RowId r = 0; r < n; ++r) {
+  // kInvalidRow (no live row) is >= n, so the loop does not run.
+  for (RowId r = table_->NthActiveRow(0); r < n; ++r) {
     if (!table_->IsActive(r)) continue;
     const BatchId b = table_->batch_of(r);
-    if (b + max_age_batches < current) {
-      expired.push_back(r);
-      if (sla_ != nullptr) {
-        sla_->RecordDeletionLatency(
-            std::string(PolicyKindToString(policy_->kind())),
-            current - b - max_age_batches);
-      }
+    if (b + max_age_batches >= current) break;
+    expired.push_back(r);
+    const uint64_t latency = current - b - max_age_batches;
+    if (sla_ != nullptr && latency != sample_latency && sample_count > 0) {
+      sla_->RecordDeletionLatency(policy_name, sample_latency, sample_count);
+      sample_count = 0;
     }
+    sample_latency = latency;
+    ++sample_count;
   }
-  for (RowId r : expired) {
-    AMNESIA_RETURN_NOT_OK(ForgetOne(r));
+  if (sla_ != nullptr && sample_count > 0) {
+    sla_->RecordDeletionLatency(policy_name, sample_latency, sample_count);
   }
-  vacuumed += expired.size();
-  if (options_.backend == BackendKind::kDelete && !expired.empty() &&
+  const uint64_t swept = expired.size();
+  AMNESIA_RETURN_NOT_OK(ForgetSet(std::move(expired)));
+  vacuumed += swept;
+  if (options_.backend == BackendKind::kDelete && swept > 0 &&
       options_.compact_every_n_rounds > 0 && !table_->mapped()) {
     AMNESIA_RETURN_NOT_OK(RunCompaction());
   }
   AMNESIA_RETURN_NOT_OK(FinishSweepAudit(AuditOp::kVacuum));
   if (sla_ != nullptr) {
-    sla_->RecordSweep(std::string(PolicyKindToString(policy_->kind())),
-                      ForgetLag(max_age_batches), current);
+    sla_->RecordSweep(policy_name, ForgetLag(max_age_batches), current);
   }
   return vacuumed;
 }
@@ -331,9 +355,7 @@ Status AmnesiaController::EnforceBudget(Rng* rng) {
     if (victims.size() < std::min<uint64_t>(overflow, table_->num_active())) {
       return Status::Internal("policy returned too few victims");
     }
-    for (RowId row : victims) {
-      AMNESIA_RETURN_NOT_OK(ForgetOne(row));
-    }
+    AMNESIA_RETURN_NOT_OK(ForgetSet(std::move(victims)));
   }
 
   // Mapped tables never move rows (RowIds are partition-file offsets), so

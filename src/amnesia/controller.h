@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 #include "amnesia/audit_ledger.h"
 #include "amnesia/policy.h"
@@ -98,6 +99,20 @@ struct ControllerStats {
 /// All pointers are borrowed and must outlive the controller. `indexes`,
 /// `cold` and `summaries` may be null when the corresponding backend is
 /// not used (validated at construction).
+///
+/// Every sweep — a budget pass, or the row-wise part of a vacuum — runs
+/// in this order:
+///   1. sort the victims;
+///   2. apply the backend to each row in memory, ascending (tier capture
+///      or index erase, plus Table::Forget);
+///   3. journal the whole sweep as ONE kForgetSet event (sorted row runs);
+///   4. flush the journal at most once — only when scrubbing a mapped
+///      table and at least one victim is a sealed row. That one barrier
+///      is the write-ahead rule: scrubs of sealed rows write through to
+///      partition files that outlive a crash, so their record must be
+///      durable first;
+///   5. scrub the rows (delete backend with scrub_on_delete).
+/// Journal cost is therefore O(runs) per sweep, not O(rows).
 class AmnesiaController {
  public:
   /// Validates the wiring (backend vs. available tiers).
@@ -151,11 +166,11 @@ class AmnesiaController {
   /// global budget across shard controllers before every forget pass.
   void set_dbsize_budget(uint64_t budget) { options_.dbsize_budget = budget; }
 
-  /// Journals every forget-pass outcome (forget, scrub, compaction) to
-  /// `sink` as durability events addressed to `shard_id`, so crash
-  /// recovery can redo them without the policy or its RNG. nullptr (the
-  /// default) disables journaling. The sink is borrowed and must outlive
-  /// the controller.
+  /// Journals every forget-pass outcome (one forget set per sweep,
+  /// partition drops, compaction) to `sink` as durability events
+  /// addressed to `shard_id`, so crash recovery can redo them without the
+  /// policy or its RNG. nullptr (the default) disables journaling. The
+  /// sink is borrowed and must outlive the controller.
   void set_event_sink(EventSink* sink, uint32_t shard_id = 0) {
     event_sink_ = sink;
     event_shard_ = shard_id;
@@ -190,9 +205,9 @@ class AmnesiaController {
         summaries_(summaries) {}
 
   /// Per-sweep audit accumulation; reset at sweep start, folded into one
-  /// AuditRecord at sweep end. A member (not a parameter) so ForgetOne's
-  /// signature stays put — controllers are externally synchronized per
-  /// shard, so there is never more than one sweep in flight per instance.
+  /// AuditRecord at sweep end. A member (not a parameter) because
+  /// controllers are externally synchronized per shard, so there is never
+  /// more than one sweep in flight per instance.
   struct SweepAudit {
     uint64_t rows_marked = 0;
     uint64_t rows_scrubbed = 0;
@@ -201,7 +216,13 @@ class AmnesiaController {
     uint64_t tick_hi = 0;
   };
 
+  /// Applies the backend to one row in memory (step 2 of a sweep): tier
+  /// capture or index erase plus Table::Forget. Journals nothing.
   Status ForgetOne(RowId row);
+  /// Runs one sweep over `victims` in the order the class comment gives.
+  /// Victims must be distinct active rows (Internal otherwise, before any
+  /// row is touched); an empty set is a no-op.
+  Status ForgetSet(std::vector<RowId> victims);
   Status RunCompaction();
   /// Flushes the event sink, then appends one AuditRecord summarizing the
   /// sweep accumulated in audit_. No-op for sweeps that forgot nothing or

@@ -15,8 +15,12 @@ StatusOr<std::vector<RowId>> FifoPolicy::SelectVictims(const Table& table,
   // RowId order equals insertion order (append-only storage, and
   // compaction preserves relative order), so the oldest active tuples are
   // simply the first active rows. Verified against insert_tick in tests.
+  // The walk starts at the oldest live row, so a never-compacted table's
+  // forgotten prefix costs a bitmap word scan, not a row-by-row visit.
   const uint64_t n = table.num_rows();
-  for (RowId r = 0; r < n && victims.size() < want; ++r) {
+  // kInvalidRow (no live row) is >= n, so the loop does not run.
+  for (RowId r = table.NthActiveRow(0); r < n && victims.size() < want;
+       ++r) {
     if (table.IsActive(r)) victims.push_back(r);
   }
   return victims;

@@ -100,7 +100,74 @@ Status RewriteLogFileAtomic(const std::string& path, uint64_t base_lsn,
   return Status::OK();
 }
 
+/// Re-routes one row into the tier its forgetting backend preserves it in,
+/// reading the payload before the row's state flips — exactly as
+/// AmnesiaController::ForgetOne captured it live. Null sinks skip the tier.
+void RouteToTier(const Event& event, const Table& table, RowId row,
+                 const ReplaySinks& sinks) {
+  const auto backend = static_cast<BackendKind>(event.backend);
+  if (backend == BackendKind::kColdStorage && sinks.cold != nullptr) {
+    sinks.cold->Put(ColdTuple{row, table.value(event.payload_col, row),
+                              table.insert_tick(row), table.batch_of(row)});
+  } else if (backend == BackendKind::kSummary && sinks.summaries != nullptr) {
+    sinks.summaries->AddForgotten(event.payload_col, table.batch_of(row),
+                                  table.value(event.payload_col, row));
+  }
+}
+
+/// Checks a kForgetSet against the table it is about to be replayed into:
+/// an even number of runs entries, every run non-empty, in range, sorted
+/// and disjoint from the previous one, every covered row still active.
+Status ValidateForgetSet(const Event& event, const Table& table) {
+  if (event.payload_col >= table.num_columns()) {
+    return Status::InvalidArgument("event payload column out of range");
+  }
+  if (event.runs.size() % 2 != 0) {
+    return Status::InvalidArgument("forget set holds an odd pair count");
+  }
+  const uint64_t rows = table.num_rows();
+  uint64_t prev_end = 0;
+  for (size_t i = 0; i < event.runs.size(); i += 2) {
+    const uint64_t start = event.runs[i];
+    const uint64_t length = event.runs[i + 1];
+    if (length == 0) {
+      return Status::InvalidArgument("forget set holds an empty run");
+    }
+    if (start < prev_end) {
+      return Status::InvalidArgument(
+          "forget set runs are unsorted or overlap at row " +
+          std::to_string(start));
+    }
+    if (start >= rows || length > rows - start) {
+      return Status::InvalidArgument(
+          "forget set run at row " + std::to_string(start) +
+          " out of range for shard " + std::to_string(event.shard));
+    }
+    for (RowId r = start; r < start + length; ++r) {
+      if (!table.IsActive(r)) {
+        return Status::InvalidArgument("forget set row " + std::to_string(r) +
+                                       " is already forgotten");
+      }
+    }
+    prev_end = start + length;
+  }
+  return Status::OK();
+}
+
 }  // namespace
+
+std::vector<uint64_t> RowRuns(const std::vector<RowId>& sorted_rows) {
+  std::vector<uint64_t> runs;
+  for (RowId row : sorted_rows) {
+    if (!runs.empty() && runs[runs.size() - 2] + runs.back() == row) {
+      ++runs.back();
+    } else {
+      runs.push_back(row);
+      runs.push_back(1);
+    }
+  }
+  return runs;
+}
 
 std::vector<uint8_t> EncodeEvent(const Event& event) {
   std::vector<uint8_t> out;
@@ -129,6 +196,12 @@ std::vector<uint8_t> EncodeEvent(const Event& event) {
     case EventKind::kAccess:
       w.U64(event.row);
       break;
+    case EventKind::kForgetSet:
+      w.U64Array(event.runs);
+      w.U8(event.backend);
+      w.U32(event.payload_col);
+      w.U8(event.scrub ? 1 : 0);
+      break;
   }
   return out;
 }
@@ -139,7 +212,7 @@ StatusOr<Event> DecodeEvent(const std::vector<uint8_t>& payload) {
   uint8_t kind = 0;
   AMNESIA_RETURN_NOT_OK(r.U8(&kind));
   if (kind < static_cast<uint8_t>(EventKind::kBeginBatch) ||
-      kind > static_cast<uint8_t>(EventKind::kDropPartition)) {
+      kind > static_cast<uint8_t>(EventKind::kForgetSet)) {
     return Status::InvalidArgument("unknown event kind " +
                                    std::to_string(kind));
   }
@@ -178,6 +251,17 @@ StatusOr<Event> DecodeEvent(const std::vector<uint8_t>& payload) {
     case EventKind::kAccess:
       AMNESIA_RETURN_NOT_OK(r.U64(&event.row));
       break;
+    case EventKind::kForgetSet: {
+      // The runs' shape is checked by ReplayEvent against the table.
+      AMNESIA_RETURN_NOT_OK(r.U64Array(&event.runs));
+      AMNESIA_RETURN_NOT_OK(r.U8(&event.backend));
+      AMNESIA_RETURN_NOT_OK(r.U32(&event.payload_col));
+      uint8_t scrub = 0;
+      AMNESIA_RETURN_NOT_OK(r.U8(&scrub));
+      if (scrub > 1) return Status::InvalidArgument("bad forget set scrub flag");
+      event.scrub = scrub == 1;
+      break;
+    }
   }
   if (!r.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after event payload");
@@ -225,10 +309,11 @@ Status ReplayEvent(const Event& event, std::vector<Table>* tables,
   // not match the restored snapshot (or corruption that survives the frame
   // CRC) must surface as Status, never as an out-of-bounds read. kCompact
   // addresses no row; kDropPartition's `row` is a partition index,
-  // validated against the partition table below.
+  // validated against the partition table below; kForgetSet validates its
+  // runs itself.
   if (event.kind != EventKind::kCompact &&
       event.kind != EventKind::kDropPartition &&
-      event.row >= table.num_rows()) {
+      event.kind != EventKind::kForgetSet && event.row >= table.num_rows()) {
     return Status::InvalidArgument("event row " + std::to_string(event.row) +
                                    " out of range for shard " +
                                    std::to_string(event.shard));
@@ -238,21 +323,29 @@ Status ReplayEvent(const Event& event, std::vector<Table>* tables,
       if (event.payload_col >= table.num_columns()) {
         return Status::InvalidArgument("event payload column out of range");
       }
-      // Re-route into the tier before flipping the state, exactly like
-      // AmnesiaController::ForgetOne captured it.
-      const auto backend = static_cast<BackendKind>(event.backend);
-      if (backend == BackendKind::kColdStorage && sinks.cold != nullptr) {
-        sinks.cold->Put(ColdTuple{event.row,
-                                  table.value(event.payload_col, event.row),
-                                  table.insert_tick(event.row),
-                                  table.batch_of(event.row)});
-      } else if (backend == BackendKind::kSummary &&
-                 sinks.summaries != nullptr) {
-        sinks.summaries->AddForgotten(event.payload_col,
-                                      table.batch_of(event.row),
-                                      table.value(event.payload_col, event.row));
-      }
+      RouteToTier(event, table, event.row, sinks);
       return table.Forget(event.row);
+    }
+    case EventKind::kForgetSet: {
+      // Validated whole first, so a bad set never half-applies; then the
+      // live sweep's order: every tier capture + forget ascending, then
+      // every scrub ascending.
+      AMNESIA_RETURN_NOT_OK(ValidateForgetSet(event, table));
+      for (size_t i = 0; i < event.runs.size(); i += 2) {
+        const RowId end = event.runs[i] + event.runs[i + 1];
+        for (RowId r = event.runs[i]; r < end; ++r) {
+          RouteToTier(event, table, r, sinks);
+          AMNESIA_RETURN_NOT_OK(table.Forget(r));
+        }
+      }
+      if (!event.scrub) return Status::OK();
+      for (size_t i = 0; i < event.runs.size(); i += 2) {
+        const RowId end = event.runs[i] + event.runs[i + 1];
+        for (RowId r = event.runs[i]; r < end; ++r) {
+          AMNESIA_RETURN_NOT_OK(table.ScrubRow(r, 0));
+        }
+      }
+      return Status::OK();
     }
     case EventKind::kScrub:
       return table.ScrubRow(event.row, event.value);

@@ -1,9 +1,9 @@
 // Copyright 2026 The AmnesiaDB Authors
 //
 // Physical redo log for the durability subsystem. Between two checkpoints
-// every table mutation — batched appends, forget-pass outcomes (forget /
-// scrub / compaction), revives and access bumps — is recorded as one
-// Event; replaying the tail of the log on top of the newest snapshot
+// every table mutation — batched appends, forget-pass outcomes (one
+// run-length forget set per sweep, partition drops, compaction), revives
+// and access bumps — is recorded as one Event; replaying the tail of the log on top of the newest snapshot
 // reconstructs the exact pre-crash state. The shape follows KERI's
 // append-only key-event-log design (PAPERS.md): an event log plus periodic
 // snapshots gives cheap incremental durability and deterministic replay.
@@ -40,9 +40,11 @@ enum class EventKind : uint8_t {
   /// event carries the column-major payload; `shard` is unused.
   kAppendRows = 2,
   /// One row was forgotten. `backend` records the forgetting backend so
-  /// replay can re-route the tuple into a cold/summary tier.
+  /// replay can re-route the tuple into a cold/summary tier. Replayed, no
+  /// longer written: sweeps journal one kForgetSet instead.
   kForget = 3,
-  /// A forgotten row's payload was scrubbed to `value`.
+  /// A forgotten row's payload was scrubbed to `value`. Replayed, no
+  /// longer written: kForgetSet carries the scrub as a flag.
   kScrub = 4,
   /// One shard ran physical compaction (deterministic given its state).
   kCompact = 5,
@@ -56,6 +58,13 @@ enum class EventKind : uint8_t {
   /// its `.dropped` name, so whichever of {rename, this record} a crash
   /// keeps, recovery is consistent.
   kDropPartition = 8,
+  /// One forget sweep (a budget pass or the row-wise part of a vacuum):
+  /// `runs` holds the victims, sorted, as flat (start, length) row runs,
+  /// so the record grows with runs rather than rows. Replay forgets every
+  /// row in ascending order — routing it into the `backend`'s tier first,
+  /// exactly as the live sweep captured it — and then, when `scrub` is
+  /// set, scrubs every row to 0 in the same order.
+  kForgetSet = 9,
 };
 
 /// \brief One redo record.
@@ -65,18 +74,28 @@ struct Event {
   /// kAppendRows, which round-robins globally).
   uint32_t shard = 0;
   /// Shard-local row id (kForget / kScrub / kRevive / kAccess) or
-  /// partition index (kDropPartition).
+  /// partition index (kDropPartition); unused by kForgetSet.
   RowId row = 0;
   /// Scrub value (kScrub) or partition row count (kDropPartition).
   Value value = 0;
-  /// Forgetting backend that processed the row (kForget), as the
-  /// underlying BackendKind integer.
+  /// Forgetting backend that processed the rows (kForget, kForgetSet),
+  /// as the underlying BackendKind integer.
   uint8_t backend = 0;
-  /// Column the backend preserved (kForget with cold/summary backends).
+  /// Column the backend preserved (kForget / kForgetSet with cold/summary
+  /// backends).
   uint32_t payload_col = 0;
   /// Column-major appended payload (kAppendRows).
   std::vector<std::vector<Value>> columns;
+  /// Victim rows as flat (start, length) pairs in ascending, disjoint
+  /// order (kForgetSet).
+  std::vector<uint64_t> runs;
+  /// Whether the sweep scrubbed its victims' payloads to 0 (kForgetSet).
+  bool scrub = false;
 };
+
+/// \brief Run-length form of a sorted, duplicate-free row list: the flat
+/// (start, length) pairs kForgetSet carries.
+std::vector<uint64_t> RowRuns(const std::vector<RowId>& sorted_rows);
 
 /// \brief Serializes one event into a self-delimiting byte payload.
 std::vector<uint8_t> EncodeEvent(const Event& event);
@@ -94,7 +113,10 @@ struct ReplaySinks {
 /// \brief Applies one event to a recovering table. `tables` are the
 /// restored shards in shard order; `ingest_cursor` is the global
 /// round-robin position (rows ever appended) and is advanced by
-/// kAppendRows events.
+/// kAppendRows events. A kForgetSet is validated whole before it touches
+/// the table: runs that are out of range, empty, unsorted or overlapping,
+/// an odd pair count, or a row that is already forgotten return
+/// InvalidArgument and leave the table and tiers unchanged.
 Status ReplayEvent(const Event& event, std::vector<Table>* tables,
                    uint64_t* ingest_cursor,
                    const ReplaySinks& sinks = ReplaySinks());

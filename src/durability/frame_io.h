@@ -26,12 +26,19 @@ namespace wal {
 
 /// Frame header: u32 payload length + u32 payload CRC-32.
 constexpr size_t kFrameHeaderSize = 8;
-/// Lengths beyond this are treated as corruption (no event comes close).
+/// Lengths beyond this are treated as corruption; writers refuse them.
 constexpr uint32_t kMaxFramePayload = 64u << 20;
 
-/// \brief Writes one frame; the caller decides when to flush.
+/// \brief Writes one frame; the caller decides when to flush. Refuses a
+/// payload the reader would reject as corrupt.
 inline Status WriteFrame(std::FILE* file, const std::vector<uint8_t>& payload,
                          const std::string& path) {
+  if (payload.size() > kMaxFramePayload) {
+    return Status::InvalidArgument("frame payload of " +
+                                   std::to_string(payload.size()) +
+                                   " bytes exceeds the limit for '" + path +
+                                   "'");
+  }
   std::vector<uint8_t> frame;
   ckpt::Writer w(&frame);
   w.U32(static_cast<uint32_t>(payload.size()));

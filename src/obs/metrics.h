@@ -191,9 +191,10 @@ class Histogram {
  public:
   static constexpr size_t kBuckets = HistogramSnapshot::kBuckets;
 
-  void Record(uint64_t value) {
-    buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
+  /// Records `count` samples of `value` at once.
+  void Record(uint64_t value, uint64_t count = 1) {
+    buckets_[BucketIndex(value)].fetch_add(count, std::memory_order_relaxed);
+    sum_.fetch_add(value * count, std::memory_order_relaxed);
   }
 
   HistogramSnapshot Snapshot() const;
@@ -215,7 +216,7 @@ class Histogram {
 class Histogram {
  public:
   static constexpr size_t kBuckets = HistogramSnapshot::kBuckets;
-  void Record(uint64_t) {}
+  void Record(uint64_t, uint64_t = 1) {}
   HistogramSnapshot Snapshot() const { return {}; }
   static size_t BucketIndex(uint64_t value) {
     if (value == 0) return 0;

@@ -50,9 +50,7 @@ void SlaTracker::RecordDeletionLatency(const std::string& policy,
   state.latency.buckets[Histogram::BucketIndex(latency_batches)] += count;
   state.latency.count += count;
   state.latency.sum += latency_batches * count;
-  for (uint64_t i = 0; i < count; ++i) {
-    state.latency_hist->Record(latency_batches);
-  }
+  state.latency_hist->Record(latency_batches, count);
 }
 
 void SlaTracker::RecordAttestation(const std::string& policy,

@@ -170,12 +170,15 @@ Status Simulator::Wire() {
              // checkpoint) bounds replay-at-recovery work; with the
              // per-batch flush + every-N-batches checkpoint cadence it
              // should never exceed the events of N in-flight batches
-             // plus one writer-queue slot.
+             // plus one writer-queue slot. A batch journals a handful of
+             // events (begin, append, one forget set per sweep, partition
+             // drops, compaction); 2 per inserted row is the cost of logs
+             // that journaled each forgotten row and its scrub, kept as a
+             // generous ceiling.
              const uint64_t next = log_->next_lsn();
              const uint64_t lag =
                  next > h.last_durable_lsn ? next - h.last_durable_lsn : 0;
-             const uint64_t per_batch =
-                 2 * config_.BatchInsertCount() + 4;  // appends + forgets
+             const uint64_t per_batch = 2 * config_.BatchInsertCount() + 4;
              const uint64_t allowed =
                  per_batch * (config_.checkpoint_every_n_batches + 1) * 2;
              if (lag > allowed) {

@@ -205,6 +205,9 @@ class Reader {
     AMNESIA_RETURN_NOT_OK(U64(&n));
     if (n > (in_.size() - pos_) / elem_size) return Truncated();
     values->resize(static_cast<size_t>(n));
+    // An empty vector's data() may be null, and memcpy from or to null is
+    // undefined even for zero bytes.
+    if (n == 0) return Status::OK();
     std::memcpy(values->data(), in_.data() + pos_,
                 static_cast<size_t>(n) * elem_size);
     pos_ += static_cast<size_t>(n) * elem_size;

@@ -4,6 +4,8 @@
 // five forgetting backends.
 
 #include <algorithm>
+#include <filesystem>
+#include <iterator>
 #include <set>
 #include <unordered_set>
 
@@ -20,6 +22,7 @@
 #include "amnesia/rot.h"
 #include "amnesia/uniform.h"
 #include "common/histogram.h"
+#include "obs/sla.h"
 #include "query/scan.h"
 
 namespace amnesia {
@@ -688,6 +691,157 @@ TEST(ControllerTest, RepeatedRoundsKeepExactBudget) {
     ASSERT_EQ(t.num_active(), 1000u);
   }
   EXPECT_EQ(ctrl.stats().tuples_forgotten, 2000u);
+}
+
+// ------------------------------------------------------------- Vacuuming
+
+/// Insert ticks of the active rows (ticks survive compaction, RowIds not).
+std::set<Tick> ActiveTicks(const Table& t) {
+  std::set<Tick> ticks;
+  for (RowId r = 0; r < t.num_rows(); ++r) {
+    if (t.IsActive(r)) ticks.insert(t.insert_tick(r));
+  }
+  return ticks;
+}
+
+/// The full-row reference walk: every active row past the deadline.
+std::set<Tick> ReferenceExpiredTicks(const Table& t, uint32_t max_age) {
+  std::set<Tick> ticks;
+  for (RowId r = 0; r < t.num_rows(); ++r) {
+    if (t.IsActive(r) && t.batch_of(r) + max_age < t.current_batch()) {
+      ticks.insert(t.insert_tick(r));
+    }
+  }
+  return ticks;
+}
+
+struct VacuumCase {
+  const char* name;
+  bool mapped;
+  BackendKind backend;
+  uint32_t compact_every;
+};
+
+TEST(VacuumTest, EarlyExitWalkMatchesFullReferenceWalk) {
+  // Budget passes under FIFO, uniform and rot leave holes before the
+  // deadline; the vacuum walk starts at the oldest live row and stops at
+  // the first unexpired live row, and must still forget exactly what a
+  // walk over every row would.
+  namespace fs = std::filesystem;
+  const VacuumCase cases[] = {
+      {"vector-mark", false, BackendKind::kMarkOnly, 0},
+      {"vector-delete-compact", false, BackendKind::kDelete, 1},
+      {"mapped-mark", true, BackendKind::kMarkOnly, 0},
+      {"mapped-delete", true, BackendKind::kDelete, 1},
+  };
+  for (const VacuumCase& c : cases) {
+    for (PolicyKind kind :
+         {PolicyKind::kFifo, PolicyKind::kUniform, PolicyKind::kRot}) {
+      SCOPED_TRACE(std::string(c.name) + " " +
+                   std::string(PolicyKindToString(kind)));
+      const fs::path dir =
+          fs::temp_directory_path() /
+          ("amnesia_vacuum_walk_" + std::string(c.name) + "_" +
+           std::string(PolicyKindToString(kind)));
+      fs::remove_all(dir);
+      StorageOptions storage;
+      if (c.mapped) {
+        storage.backend = StorageBackend::kMapped;
+        storage.dir = dir.string();
+        storage.partition_rows = 64;
+      }
+      {
+        Table t =
+            Table::Make(Schema::SingleColumn("a", 0, 1000), storage).value();
+        PolicyOptions popts;
+        popts.kind = kind;
+        auto policy = CreatePolicy(popts).value();
+        ControllerOptions opts;
+        opts.dbsize_budget = 300;
+        opts.backend = c.backend;
+        opts.compact_every_n_rounds = c.compact_every;
+        auto ctrl = AmnesiaController::Make(opts, policy.get(), &t).value();
+        Rng rng(31);
+        uint64_t vacuumed_total = 0;
+        for (int batch = 0; batch < 16; ++batch) {
+          t.BeginBatch();
+          for (int i = 0; i < 50; ++i) {
+            ASSERT_TRUE(t.AppendRow({rng.UniformInt(0, 999)}).ok());
+          }
+          ASSERT_TRUE(ctrl.EnforceBudget(&rng).ok());
+          if (batch % 3 != 2) continue;
+          const uint32_t max_age = 3;
+          const std::set<Tick> expected = ReferenceExpiredTicks(t, max_age);
+          const std::set<Tick> before = ActiveTicks(t);
+          const uint64_t vacuumed = ctrl.VacuumExpired(max_age).value();
+          const std::set<Tick> after = ActiveTicks(t);
+          std::set<Tick> forgotten;
+          std::set_difference(before.begin(), before.end(), after.begin(),
+                              after.end(),
+                              std::inserter(forgotten, forgotten.end()));
+          EXPECT_EQ(forgotten, expected) << "batch " << batch;
+          EXPECT_EQ(vacuumed, expected.size()) << "batch " << batch;
+          EXPECT_TRUE(std::includes(before.begin(), before.end(),
+                                    after.begin(), after.end()));
+          vacuumed_total += vacuumed;
+        }
+        EXPECT_GT(vacuumed_total, 0u);
+      }
+      fs::remove_all(dir);
+    }
+  }
+}
+
+TEST(VacuumTest, SlaSamplesMatchPerRowRecording) {
+  // The vacuum records one deletion-latency sample per run of rows with
+  // equal latency; the snapshot must equal recording every row alone.
+  for (PolicyKind kind :
+       {PolicyKind::kFifo, PolicyKind::kUniform, PolicyKind::kRot}) {
+    SCOPED_TRACE(std::string(PolicyKindToString(kind)));
+    const std::string name(PolicyKindToString(kind));
+    Table t = Table::Make(Schema::SingleColumn("a", 0, 1000)).value();
+    PolicyOptions popts;
+    popts.kind = kind;
+    auto policy = CreatePolicy(popts).value();
+    ControllerOptions opts;
+    opts.dbsize_budget = 400;
+    auto ctrl = AmnesiaController::Make(opts, policy.get(), &t).value();
+    obs::SlaTracker live;
+    obs::SlaTracker per_row;
+    ctrl.set_sla_tracker(&live);
+    Rng rng(47);
+    uint64_t recorded = 0;
+    for (int batch = 0; batch < 20; ++batch) {
+      t.BeginBatch();
+      for (int i = 0; i < 40; ++i) {
+        ASSERT_TRUE(t.AppendRow({rng.UniformInt(0, 999)}).ok());
+      }
+      ASSERT_TRUE(ctrl.EnforceBudget(&rng).ok());
+      // Vacuum only every fourth batch so one sweep spans several
+      // latencies.
+      if (batch % 4 != 3) continue;
+      const uint32_t max_age = 2;
+      for (RowId r = 0; r < t.num_rows(); ++r) {
+        const BatchId b = t.batch_of(r);
+        if (t.IsActive(r) && b + max_age < t.current_batch()) {
+          per_row.RecordDeletionLatency(name,
+                                        t.current_batch() - b - max_age);
+          ++recorded;
+        }
+      }
+      ASSERT_TRUE(ctrl.VacuumExpired(max_age).ok());
+    }
+    ASSERT_GT(recorded, 0u);
+    const std::vector<obs::SlaPolicySnapshot> got = live.Snapshot();
+    const std::vector<obs::SlaPolicySnapshot> want = per_row.Snapshot();
+    ASSERT_EQ(got.size(), 1u);
+    ASSERT_EQ(want.size(), 1u);
+    EXPECT_EQ(got[0].deletion_latency.count, recorded);
+    EXPECT_EQ(got[0].deletion_latency.count, want[0].deletion_latency.count);
+    EXPECT_EQ(got[0].deletion_latency.sum, want[0].deletion_latency.sum);
+    EXPECT_EQ(got[0].deletion_latency.buckets,
+              want[0].deletion_latency.buckets);
+  }
 }
 
 }  // namespace

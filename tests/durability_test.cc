@@ -2,7 +2,8 @@
 //
 // Tests for the async durability subsystem: thread-pool task futures,
 // versioned snapshots (epoch skip + copy-on-write tails), the event log
-// (framing, torn tails, replay), the background checkpointer (manifest
+// (framing, torn tails, replay, run-length forget sets and their
+// write-ahead flush), the background checkpointer (manifest
 // commit, incremental shard skip, recovery fallback) and end-to-end
 // simulator crash recovery.
 
@@ -11,13 +12,16 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <thread>
 
 #include <gtest/gtest.h>
 
 #include "amnesia/fifo.h"
+#include "amnesia/registry.h"
 #include "amnesia/sharded_controller.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -252,6 +256,23 @@ TEST(EventLogTest, CodecRoundTripsEveryKind) {
   e.kind = EventKind::kAccess;
   e.row = 30;
   events.push_back(e);
+  e = Event{};
+  e.kind = EventKind::kDropPartition;
+  e.shard = 1;
+  e.row = 5;
+  e.value = 4096;
+  events.push_back(e);
+  e = Event{};
+  e.kind = EventKind::kForgetSet;
+  e.shard = 2;
+  e.runs = {0, 3, 7, 1, 1'000'000, 4096};
+  e.backend = 3;
+  e.payload_col = 1;
+  e.scrub = true;
+  events.push_back(e);
+  e.scrub = false;
+  e.runs.clear();
+  events.push_back(e);
 
   for (const Event& original : events) {
     const Event decoded = DecodeEvent(EncodeEvent(original)).value();
@@ -262,6 +283,8 @@ TEST(EventLogTest, CodecRoundTripsEveryKind) {
     EXPECT_EQ(decoded.backend, original.backend);
     EXPECT_EQ(decoded.payload_col, original.payload_col);
     EXPECT_EQ(decoded.columns, original.columns);
+    EXPECT_EQ(decoded.runs, original.runs);
+    EXPECT_EQ(decoded.scrub, original.scrub);
   }
 }
 
@@ -1463,6 +1486,410 @@ TEST(SimulatorDurabilityTest, ReusedDirDropsStaleManifests) {
   RecoveredState state =
       Recover(dir.path(), dir.path() + "/events.log").value();
   EXPECT_EQ(CheckpointTable(state.shards[0]), CheckpointTable(sim->table()));
+}
+
+// ------------------------------------------------------------ forget sets
+
+Event ForgetSetEvent(std::vector<uint64_t> runs,
+                     BackendKind backend = BackendKind::kMarkOnly,
+                     bool scrub = false) {
+  Event e;
+  e.kind = EventKind::kForgetSet;
+  e.runs = std::move(runs);
+  e.backend = static_cast<uint8_t>(backend);
+  e.scrub = scrub;
+  return e;
+}
+
+TEST(EventLogTest, RowRunsCoalesceConsecutiveRows) {
+  EXPECT_TRUE(RowRuns({}).empty());
+  EXPECT_EQ(RowRuns({4}), (std::vector<uint64_t>{4, 1}));
+  EXPECT_EQ(RowRuns({0, 1, 2, 5, 7, 8}),
+            (std::vector<uint64_t>{0, 3, 5, 1, 7, 2}));
+}
+
+TEST(EventLogTest, ForgetSetDecoderSurvivesEveryFlipAndTruncation) {
+  // Every single-byte corruption of one encoded forget set either decodes
+  // or returns a Status; whatever decodes, replay either applies or
+  // rejects it whole. Every truncation of the self-delimiting payload
+  // fails to decode.
+  const std::vector<uint8_t> bytes = EncodeEvent(
+      ForgetSetEvent({0, 3, 5, 1, 9, 2}, BackendKind::kColdStorage, true));
+  uint64_t decoded_ok = 0;
+  const auto check = [&decoded_ok](const std::vector<uint8_t>& payload) {
+    StatusOr<Event> decoded = DecodeEvent(payload);
+    if (!decoded.ok()) return;
+    ++decoded_ok;
+    std::vector<Table> tables;
+    tables.push_back(MakeLoadedTable(16, 61));
+    const std::vector<uint8_t> before = CheckpointTable(tables[0]);
+    ColdStore cold;
+    ReplaySinks sinks;
+    sinks.cold = &cold;
+    uint64_t cursor = tables[0].lifetime_inserted();
+    const Status replayed =
+        ReplayEvent(decoded.value(), &tables, &cursor, sinks);
+    if (!replayed.ok() && decoded.value().kind == EventKind::kForgetSet) {
+      EXPECT_EQ(replayed.code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(CheckpointTable(tables[0]), before);
+      EXPECT_EQ(cold.size(), 0u);
+    }
+  };
+  check(bytes);
+  ASSERT_EQ(decoded_ok, 1u);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    for (const uint8_t mask : {uint8_t{0x01}, uint8_t{0x80}, uint8_t{0xFF}}) {
+      std::vector<uint8_t> flipped = bytes;
+      flipped[i] ^= mask;
+      check(flipped);
+    }
+  }
+  EXPECT_GT(decoded_ok, 1u);  // some flips land in row numbers and decode
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    const std::vector<uint8_t> truncated(
+        bytes.begin(), bytes.begin() + static_cast<ptrdiff_t>(cut));
+    EXPECT_FALSE(DecodeEvent(truncated).ok()) << "cut at " << cut;
+  }
+}
+
+TEST(ReplayTest, InvalidForgetSetIsRejectedWholeAndLeavesTableUnchanged) {
+  struct Case {
+    const char* name;
+    std::vector<uint64_t> runs;
+  };
+  const Case cases[] = {
+      {"run past the table end", {0, 2, 14, 5}},
+      {"run start past the end", {0, 2, 16, 1}},
+      {"run length overflows", {3, UINT64_MAX}},
+      {"zero-length run", {0, 2, 6, 0}},
+      {"unsorted runs", {8, 2, 2, 2}},
+      {"overlapping runs", {2, 4, 5, 2}},
+      {"odd pair count", {2, 2, 7}},
+      {"already forgotten row", {0, 2, 11, 2}},
+  };
+  for (const Case& c : cases) {
+    std::vector<Table> tables;
+    tables.push_back(MakeLoadedTable(16, 67));
+    ASSERT_TRUE(tables[0].Forget(12).ok());
+    const std::vector<uint8_t> before = CheckpointTable(tables[0]);
+    ColdStore cold;
+    ReplaySinks sinks;
+    sinks.cold = &cold;
+    uint64_t cursor = tables[0].lifetime_inserted();
+    const Status status = ReplayEvent(
+        ForgetSetEvent(c.runs, BackendKind::kColdStorage, /*scrub=*/true),
+        &tables, &cursor, sinks);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << c.name;
+    EXPECT_EQ(CheckpointTable(tables[0]), before) << c.name;
+    EXPECT_EQ(cold.size(), 0u) << c.name;
+  }
+
+  // A bad payload column or shard is rejected the same way.
+  std::vector<Table> tables;
+  tables.push_back(MakeLoadedTable(16, 67));
+  const std::vector<uint8_t> before = CheckpointTable(tables[0]);
+  uint64_t cursor = tables[0].lifetime_inserted();
+  Event bad_col = ForgetSetEvent({0, 2});
+  bad_col.payload_col = 3;
+  EXPECT_EQ(ReplayEvent(bad_col, &tables, &cursor).code(),
+            StatusCode::kInvalidArgument);
+  Event bad_shard = ForgetSetEvent({0, 2});
+  bad_shard.shard = 1;
+  EXPECT_EQ(ReplayEvent(bad_shard, &tables, &cursor).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(CheckpointTable(tables[0]), before);
+}
+
+TEST(ReplayTest, ForgetSetRoutesTiersThenScrubsLikeTheLiveSweep) {
+  // The same sweep through the controller (live) and through replay of
+  // its one journaled event must produce identical table and tier bytes.
+  for (const BackendKind backend :
+       {BackendKind::kDelete, BackendKind::kColdStorage,
+        BackendKind::kSummary}) {
+    EventLog log;
+    Table table = MakeLoadedTable(200, 71);
+    ColdStore cold;
+    SummaryStore summaries;
+    PolicyOptions popts;
+    popts.kind = PolicyKind::kUniform;
+    auto policy = CreatePolicy(popts).value();
+    ControllerOptions copts;
+    copts.dbsize_budget = 120;
+    copts.backend = backend;
+    copts.compact_every_n_rounds = 0;
+    AmnesiaController ctrl =
+        AmnesiaController::Make(copts, policy.get(), &table, nullptr, &cold,
+                                &summaries)
+            .value();
+    ctrl.set_event_sink(&log, 0);
+    Rng rng(13);
+    ASSERT_TRUE(ctrl.EnforceBudget(&rng).ok());
+    ASSERT_EQ(log.events().size(), 1u);
+    EXPECT_EQ(log.events()[0].kind, EventKind::kForgetSet);
+    EXPECT_EQ(log.events()[0].scrub, backend == BackendKind::kDelete);
+
+    std::vector<Table> replayed;
+    replayed.push_back(MakeLoadedTable(200, 71));
+    ColdStore replayed_cold;
+    SummaryStore replayed_summaries;
+    ReplaySinks sinks;
+    sinks.cold = &replayed_cold;
+    sinks.summaries = &replayed_summaries;
+    uint64_t cursor = replayed[0].lifetime_inserted();
+    ASSERT_TRUE(ReplayEvents(log.events(), 0, &replayed, &cursor, sinks).ok());
+    EXPECT_EQ(CheckpointTable(replayed[0]), CheckpointTable(table));
+    EXPECT_EQ(CheckpointColdStore(replayed_cold), CheckpointColdStore(cold));
+    EXPECT_EQ(CheckpointSummaryStore(replayed_summaries),
+              CheckpointSummaryStore(summaries));
+  }
+}
+
+/// A single-column table of `rows` seeded rows, one batch per 20 rows, on
+/// vector storage or (with a non-empty `storage_dir`) in mapped
+/// partitions of 64 rows.
+Table MakeBatchedTable(uint64_t rows, uint64_t seed,
+                       const std::string& storage_dir = "") {
+  StorageOptions storage;
+  if (!storage_dir.empty()) {
+    storage.backend = StorageBackend::kMapped;
+    storage.dir = storage_dir;
+    storage.partition_rows = 64;
+  }
+  Table t = Table::Make(Schema::SingleColumn("v", 0, 1'000'000), storage)
+                .value();
+  Rng rng(seed);
+  for (uint64_t i = 0; i < rows; ++i) {
+    if (i % 20 == 0) t.BeginBatch();
+    EXPECT_TRUE(t.AppendRow({rng.UniformInt(1, 999'999)}).ok());
+  }
+  return t;
+}
+
+TEST(ReplayTest, LegacyPerRowForgetLogRecoversBitIdentically) {
+  // Logs written before forget sets journaled one kForget per row plus a
+  // kScrub per scrubbed row. They must still recover bit-identically, and
+  // to the same state one forget set of those rows replays to.
+  for (const bool mapped : {false, true}) {
+    SCOPED_TRACE(mapped ? "mapped" : "vector");
+    ScratchDir dir(std::string("amnesia_legacy_forget_") +
+                   (mapped ? "mapped" : "vector") + "_test");
+    EventLog log = EventLog::Open(dir.file("events.log")).value();
+    Table table =
+        MakeBatchedTable(300, 83, mapped ? dir.file("storage") : "");
+    CheckpointerOptions opts;
+    opts.dir = dir.file("ckpt");
+    opts.async = false;
+    opts.log = &log;
+    BackgroundCheckpointer ckpt = BackgroundCheckpointer::Make(opts).value();
+    ASSERT_TRUE(ckpt.Checkpoint(table, log.next_lsn()).ok());
+
+    std::vector<RowId> victims;
+    for (RowId r = 0; r < 40; ++r) victims.push_back(r);
+    for (RowId r = 100; r < 160; r += 3) victims.push_back(r);
+    for (RowId r = 280; r < 290; ++r) victims.push_back(r);  // tail rows
+    for (RowId row : victims) {
+      ASSERT_TRUE(table.Forget(row).ok());
+      ASSERT_TRUE(log.Append(ForgetEvent(row, BackendKind::kDelete)).ok());
+      Event scrub;
+      scrub.kind = EventKind::kScrub;
+      scrub.row = row;
+      ASSERT_TRUE(log.Append(scrub).ok());
+      ASSERT_TRUE(log.Flush().ok());
+      ASSERT_TRUE(table.ScrubRow(row).ok());
+    }
+
+    StatusOr<RecoveredState> state =
+        Recover(dir.file("ckpt"), dir.file("events.log"));
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    EXPECT_EQ(state.value().events_replayed, 2 * victims.size());
+    ASSERT_EQ(state.value().shards.size(), 1u);
+    EXPECT_EQ(CheckpointTable(state.value().shards[0]),
+              CheckpointTable(table));
+
+    if (!mapped) {
+      std::vector<Table> twin;
+      twin.push_back(MakeBatchedTable(300, 83));
+      uint64_t cursor = twin[0].lifetime_inserted();
+      ASSERT_TRUE(ReplayEvent(ForgetSetEvent(RowRuns(victims),
+                                             BackendKind::kDelete, true),
+                              &twin, &cursor)
+                      .ok());
+      EXPECT_EQ(CheckpointTable(twin[0]), CheckpointTable(table));
+    }
+  }
+}
+
+/// Records what a sweep journals, and the table's scrub epoch at every
+/// flush; forwards to `next` when given.
+class RecordingSink : public EventSink {
+ public:
+  explicit RecordingSink(const Table* table, EventSink* next = nullptr)
+      : table_(table), next_(next) {}
+  Status Append(const Event& event) override {
+    events.push_back(event);
+    return next_ != nullptr ? next_->Append(event) : Status::OK();
+  }
+  Status Flush() override {
+    if (next_ != nullptr) AMNESIA_RETURN_NOT_OK(next_->Flush());
+    flush_scrub_epochs.push_back(table_->scrub_epoch());
+    if (on_flush) on_flush();
+    return Status::OK();
+  }
+
+  std::vector<Event> events;
+  std::vector<uint64_t> flush_scrub_epochs;
+  std::function<void()> on_flush;
+
+ private:
+  const Table* table_;
+  EventSink* next_;
+};
+
+/// Returns a fixed victim list (unsorted on purpose) on every pass.
+class FixedVictimsPolicy final : public AmnesiaPolicy {
+ public:
+  explicit FixedVictimsPolicy(std::vector<RowId> victims)
+      : victims_(std::move(victims)) {}
+  PolicyKind kind() const override { return PolicyKind::kUniform; }
+  StatusOr<std::vector<RowId>> SelectVictims(const Table&, size_t,
+                                             Rng*) override {
+    return victims_;
+  }
+
+ private:
+  std::vector<RowId> victims_;
+};
+
+TEST(ForgetSetTest, SweepAppendsOnceAndFlushesOnceBeforeTheFirstScrub) {
+  struct Case {
+    const char* name;
+    bool mapped;
+    BackendKind backend;
+    std::vector<RowId> victims;
+    size_t flushes;
+  };
+  const Case cases[] = {
+      // 300 rows = 4 sealed partitions of 64 + 44 tail rows.
+      {"mapped sealed scrub", true, BackendKind::kDelete,
+       {270, 3, 4, 5, 130, 2, 131, 280}, 1},
+      {"mapped tail-only scrub", true, BackendKind::kDelete,
+       {290, 260, 261}, 0},
+      {"mapped mark-only", true, BackendKind::kMarkOnly, {3, 1, 2, 130}, 0},
+      {"vector scrub", false, BackendKind::kDelete, {3, 1, 2, 130}, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ScratchDir dir("amnesia_forget_set_sweep_test");
+    Table table =
+        MakeBatchedTable(300, 89, c.mapped ? dir.file("storage") : "");
+    FixedVictimsPolicy policy(c.victims);
+    ControllerOptions copts;
+    copts.dbsize_budget = 300 - c.victims.size();
+    copts.backend = c.backend;
+    copts.compact_every_n_rounds = 0;
+    AmnesiaController ctrl =
+        AmnesiaController::Make(copts, &policy, &table).value();
+    RecordingSink sink(&table);
+    ctrl.set_event_sink(&sink);
+    const uint64_t epoch_before = table.scrub_epoch();
+    Rng rng(1);
+    ASSERT_TRUE(ctrl.EnforceBudget(&rng).ok());
+
+    std::vector<RowId> sorted = c.victims;
+    std::sort(sorted.begin(), sorted.end());
+    ASSERT_EQ(sink.events.size(), 1u);
+    EXPECT_EQ(sink.events[0].kind, EventKind::kForgetSet);
+    EXPECT_EQ(sink.events[0].runs, RowRuns(sorted));
+    const bool scrub = c.backend == BackendKind::kDelete;
+    EXPECT_EQ(sink.events[0].scrub, scrub);
+    ASSERT_EQ(sink.flush_scrub_epochs.size(), c.flushes);
+    if (c.flushes > 0) {
+      // The barrier precedes every scrub of the sweep.
+      EXPECT_EQ(sink.flush_scrub_epochs[0], epoch_before);
+    }
+    EXPECT_EQ(table.scrub_epoch(),
+              epoch_before + (scrub ? c.victims.size() : 0));
+    for (RowId r : c.victims) {
+      EXPECT_FALSE(table.IsActive(r));
+      if (scrub) {
+        EXPECT_EQ(table.value(0, r), 0);
+      }
+    }
+  }
+}
+
+TEST(ForgetSetTest, VacuumSweepAppendsOnceAndFlushesOnceBeforeTheFirstScrub) {
+  // The row-wise vacuum is a sweep too. 300 rows in batches of 20 on 64-row
+  // partitions: at max age 12, batches 1-2 (rows 0..39) are expired but no
+  // partition's newest row is, so nothing drops whole.
+  ScratchDir dir("amnesia_forget_set_vacuum_test");
+  Table table = MakeBatchedTable(300, 91, dir.file("storage"));
+  FifoPolicy policy;
+  ControllerOptions copts;
+  copts.dbsize_budget = 1'000;
+  copts.backend = BackendKind::kDelete;
+  AmnesiaController ctrl =
+      AmnesiaController::Make(copts, &policy, &table).value();
+  RecordingSink sink(&table);
+  ctrl.set_event_sink(&sink);
+  const uint64_t epoch_before = table.scrub_epoch();
+  EXPECT_EQ(ctrl.VacuumExpired(12).value(), 40u);
+  EXPECT_EQ(ctrl.stats().partitions_dropped, 0u);
+  ASSERT_EQ(sink.events.size(), 1u);
+  EXPECT_EQ(sink.events[0].kind, EventKind::kForgetSet);
+  EXPECT_EQ(sink.events[0].runs, (std::vector<uint64_t>{0, 40}));
+  EXPECT_TRUE(sink.events[0].scrub);
+  ASSERT_EQ(sink.flush_scrub_epochs.size(), 1u);
+  EXPECT_EQ(sink.flush_scrub_epochs[0], epoch_before);
+  EXPECT_EQ(table.scrub_epoch(), epoch_before + 40);
+}
+
+TEST(ForgetSetTest, CrashAfterTheFlushBeforeTheScrubsRecovers) {
+  // Kill the process at the sweep's one write-ahead barrier: the forget
+  // set is durable, no row is scrubbed yet. Recovering the pre-sweep
+  // checkpoint plus the flushed log must yield the rows forgotten AND
+  // scrubbed — the live state the sweep goes on to reach.
+  ScratchDir dir("amnesia_forget_set_crash_test");
+  EventLog log = EventLog::Open(dir.file("events.log")).value();
+  Table table = MakeBatchedTable(300, 97, dir.file("storage"));
+  CheckpointerOptions opts;
+  opts.dir = dir.file("ckpt");
+  opts.async = false;
+  opts.log = &log;
+  BackgroundCheckpointer ckpt = BackgroundCheckpointer::Make(opts).value();
+  ASSERT_TRUE(ckpt.Checkpoint(table, log.next_lsn()).ok());
+
+  FifoPolicy policy;
+  ControllerOptions copts;
+  copts.dbsize_budget = 180;  // forgets rows 0..119, all sealed
+  copts.backend = BackendKind::kDelete;
+  copts.compact_every_n_rounds = 0;
+  AmnesiaController ctrl =
+      AmnesiaController::Make(copts, &policy, &table).value();
+  RecordingSink sink(&table, &log);
+  const uint64_t epoch_before = table.scrub_epoch();
+  std::optional<RecoveredState> crashed;
+  sink.on_flush = [&] {
+    ASSERT_FALSE(crashed.has_value());
+    EXPECT_EQ(table.scrub_epoch(), epoch_before);  // nothing scrubbed yet
+    StatusOr<RecoveredState> state =
+        Recover(dir.file("ckpt"), dir.file("events.log"));
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    crashed = std::move(state).value();
+  };
+  ctrl.set_event_sink(&sink);
+  Rng rng(2);
+  ASSERT_TRUE(ctrl.EnforceBudget(&rng).ok());
+  ASSERT_TRUE(crashed.has_value());
+  EXPECT_EQ(crashed->events_replayed, 1u);
+  ASSERT_EQ(crashed->shards.size(), 1u);
+  const Table& recovered = crashed->shards[0];
+  EXPECT_EQ(recovered.num_active(), 180u);
+  for (RowId r = 0; r < 120; ++r) {
+    EXPECT_FALSE(recovered.IsActive(r)) << r;
+    EXPECT_EQ(recovered.value(0, r), 0) << r;
+  }
+  EXPECT_EQ(CheckpointTable(recovered), CheckpointTable(table));
 }
 
 }  // namespace
