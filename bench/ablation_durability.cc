@@ -135,7 +135,8 @@ RunResult RunLoop(uint32_t shards, Mode mode,
     if (!log.Append(append).ok()) Die("log append");
 
     if (!ctrl.EnforceBudget(pool).ok()) Die("forget pass");
-    (void)CountRangeParallel(*table, pred, Visibility::kActiveOnly, *pool)
+    (void)CountRange(*table, pred, Visibility::kActiveOnly,
+                     Engine::kVectorized, pool)
         .value();
 
     if (ckpt && (round + 1) % kCheckpointEvery == 0) {

@@ -122,27 +122,33 @@ int main(int argc, char** argv) {
     ThreadPool pool(static_cast<size_t>(threads - 1));
 
     const AggregateResult pa =
-        AggregateRangeParallel(table, pred, vis, pool).value();
+        AggregateRange(table, pred, vis, Engine::kVectorized, &pool).value();
     if (pa.count != serial_agg.count) Die("aggregate count");
     if (pa.min != serial_agg.min || pa.max != serial_agg.max) Die("min/max");
     if (std::abs(pa.sum - serial_agg.sum) >
         1e-6 * (std::abs(serial_agg.sum) + 1.0)) {
       Die("sum beyond FP tolerance");
     }
-    if (CountRangeParallel(table, pred, vis, pool).value() != serial_count) {
+    if (CountRange(table, pred, vis, Engine::kVectorized, &pool).value() !=
+        serial_count) {
       Die("count");
     }
-    const ResultSet ps = ScanRangeParallel(table, pred, vis, pool).value();
+    const ResultSet ps =
+        ScanRange(table, pred, vis, Engine::kVectorized, &pool).value();
     if (ps.rows != serial_scan.rows || ps.values != serial_scan.values) {
       Die("scan rows/values");
     }
 
-    const double agg_ms = BestOf3(
-        [&] { (void)AggregateRangeParallel(table, pred, vis, pool).value(); });
-    const double count_ms = BestOf3(
-        [&] { (void)CountRangeParallel(table, pred, vis, pool).value(); });
-    const double scan_ms = BestOf3(
-        [&] { (void)ScanRangeParallel(table, pred, vis, pool).value(); });
+    const double agg_ms = BestOf3([&] {
+      (void)AggregateRange(table, pred, vis, Engine::kVectorized, &pool)
+          .value();
+    });
+    const double count_ms = BestOf3([&] {
+      (void)CountRange(table, pred, vis, Engine::kVectorized, &pool).value();
+    });
+    const double scan_ms = BestOf3([&] {
+      (void)ScanRange(table, pred, vis, Engine::kVectorized, &pool).value();
+    });
 
     csv.Row({CsvWriter::Num(int64_t{threads}), CsvWriter::Num(agg_ms, 2),
              CsvWriter::Num(agg_serial_ms / agg_ms, 2),
@@ -199,12 +205,13 @@ int main(int argc, char** argv) {
 
   for (const Tier& tier : tiers) {
     // Cross-check both engines end to end before timing anything.
-    const uint64_t c_scalar = CountRange(table, tier.pred, vis).value();
+    const uint64_t c_scalar =
+        CountRange(table, tier.pred, vis, Engine::kScalar).value();
     const uint64_t c_vec =
         CountRange(table, tier.pred, vis, Engine::kVectorized).value();
     if (c_scalar != c_vec) Die("vectorized count");
     const AggregateResult a_scalar =
-        AggregateRange(table, tier.pred, vis).value();
+        AggregateRange(table, tier.pred, vis, Engine::kScalar).value();
     const AggregateResult a_vec =
         AggregateRange(table, tier.pred, vis, Engine::kVectorized).value();
     if (a_scalar.count != a_vec.count || a_scalar.min != a_vec.min ||
@@ -215,26 +222,30 @@ int main(int argc, char** argv) {
         1e-6 * (std::abs(a_scalar.sum) + 1.0)) {
       Die("vectorized sum beyond FP tolerance");
     }
-    const ResultSet s_scalar = ScanRange(table, tier.pred, vis).value();
+    const ResultSet s_scalar =
+        ScanRange(table, tier.pred, vis, Engine::kScalar).value();
     const ResultSet s_vec =
         ScanRange(table, tier.pred, vis, Engine::kVectorized).value();
     if (s_scalar.rows != s_vec.rows || s_scalar.values != s_vec.values) {
       Die("vectorized scan rows/values");
     }
 
-    const double count_scalar_ms =
-        BestOf3([&] { (void)CountRange(table, tier.pred, vis).value(); });
+    const double count_scalar_ms = BestOf3([&] {
+      (void)CountRange(table, tier.pred, vis, Engine::kScalar).value();
+    });
     const double count_vec_ms = BestOf3([&] {
       (void)CountRange(table, tier.pred, vis, Engine::kVectorized).value();
     });
-    const double agg_scalar_ms =
-        BestOf3([&] { (void)AggregateRange(table, tier.pred, vis).value(); });
+    const double agg_scalar_ms = BestOf3([&] {
+      (void)AggregateRange(table, tier.pred, vis, Engine::kScalar).value();
+    });
     const double agg_vec_ms = BestOf3([&] {
       (void)AggregateRange(table, tier.pred, vis, Engine::kVectorized)
           .value();
     });
-    const double scan_scalar_ms =
-        BestOf3([&] { (void)ScanRange(table, tier.pred, vis).value(); });
+    const double scan_scalar_ms = BestOf3([&] {
+      (void)ScanRange(table, tier.pred, vis, Engine::kScalar).value();
+    });
     const double scan_vec_ms = BestOf3([&] {
       (void)ScanRange(table, tier.pred, vis, Engine::kVectorized).value();
     });

@@ -101,9 +101,10 @@ int main(int argc, char** argv) {
   const uint64_t budget = rows - rows * 3 / 10;  // forget ~30%
 
   const uint64_t ref_count =
-      CountRange(reference, pred, Visibility::kAll).value();
+      CountRange(reference, pred, Visibility::kAll, Engine::kScalar).value();
   const AggregateResult ref_agg =
-      AggregateRange(reference, pred, Visibility::kAll).value();
+      AggregateRange(reference, pred, Visibility::kAll, Engine::kScalar)
+          .value();
 
   // Unsharded forget pass for the N=1 equivalence check.
   FifoPolicy ref_policy;
@@ -141,12 +142,14 @@ int main(int argc, char** argv) {
     if (CountRange(table, pred, Visibility::kAll).value() != ref_count) {
       Die("kAll count");
     }
-    if (CountRangeParallel(table, pred, Visibility::kAll, pool).value() !=
-        ref_count) {
+    if (CountRange(table, pred, Visibility::kAll, Engine::kVectorized, &pool)
+            .value() != ref_count) {
       Die("kAll parallel count");
     }
     const AggregateResult agg =
-        AggregateRangeParallel(table, pred, Visibility::kAll, pool).value();
+        AggregateRange(table, pred, Visibility::kAll, Engine::kVectorized,
+                       &pool)
+            .value();
     if (agg.count != ref_agg.count || agg.min != ref_agg.min ||
         agg.max != ref_agg.max) {
       Die("kAll aggregate count/min/max");
@@ -155,21 +158,26 @@ int main(int argc, char** argv) {
         1e-6 * (std::abs(ref_agg.sum) + 1.0)) {
       Die("kAll aggregate sum beyond FP tolerance");
     }
-    if (ScanRangeParallel(table, pred, Visibility::kAll, pool)
+    if (ScanRange(table, pred, Visibility::kAll, Engine::kVectorized, &pool)
             .value()
             .size() != ref_count) {
       Die("kAll scan cardinality");
     }
 
     const double count_ms = BestOf3([&] {
-      (void)CountRangeParallel(table, pred, Visibility::kAll, pool).value();
+      (void)CountRange(table, pred, Visibility::kAll, Engine::kVectorized,
+                       &pool)
+          .value();
     });
     const double agg_ms = BestOf3([&] {
-      (void)AggregateRangeParallel(table, pred, Visibility::kAll, pool)
+      (void)AggregateRange(table, pred, Visibility::kAll, Engine::kVectorized,
+                           &pool)
           .value();
     });
     const double scan_ms = BestOf3([&] {
-      (void)ScanRangeParallel(table, pred, Visibility::kAll, pool).value();
+      (void)ScanRange(table, pred, Visibility::kAll, Engine::kVectorized,
+                      &pool)
+          .value();
     });
 
     // Shard-parallel FIFO forget pass down to the global budget.
@@ -193,11 +201,13 @@ int main(int argc, char** argv) {
         }
       }
     }
-    // Active-only kernels must agree with themselves across the
-    // serial/parallel dispatch after forgetting.
-    if (CountRangeParallel(table, pred, Visibility::kActiveOnly, pool)
+    // After forgetting, the parallel vectorized count must agree with the
+    // serial scalar reference.
+    if (CountRange(table, pred, Visibility::kActiveOnly, Engine::kVectorized,
+                   &pool)
             .value() !=
-        CountRange(table, pred, Visibility::kActiveOnly).value()) {
+        CountRange(table, pred, Visibility::kActiveOnly, Engine::kScalar)
+            .value()) {
       Die("active-only parallel vs serial count");
     }
 

@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
   }
 
   // 3. Profiled queries over the amnesic view: a serial scalar count (the
-  //    cross-check oracle) and the same aggregate on the vectorized
+  //    reference engine) and the same aggregate on the vectorized
   //    parallel path. Profiling only observes, so the counts must agree
   //    bit-exactly.
   const RangePredicate pred{0, 250'000, 750'000};
@@ -132,9 +132,8 @@ int main(int argc, char** argv) {
                      Visibility::kActiveOnly, /*parallelism=*/4,
                      table->num_shards());
     pq.Stage("execute");
-    auto agg = AggregateRangeParallel(*table, pred, Visibility::kActiveOnly,
-                                      pool, kDefaultMorselRows,
-                                      /*max_workers=*/4, Engine::kVectorized);
+    auto agg = AggregateRange(*table, pred, Visibility::kActiveOnly,
+                              Engine::kVectorized, &pool, /*max_workers=*/4);
     if (!agg.ok()) return Fail(agg.status().ToString());
     const QueryProfile profile = pq.Finish(agg->count);
     std::printf("%s\n", profile.ToText().c_str());

@@ -8,7 +8,6 @@
 
 #include "obs/engine_metrics.h"
 #include "obs/trace.h"
-#include "query/vector_kernels.h"
 
 namespace amnesia {
 
@@ -117,16 +116,7 @@ Status ShardedAmnesiaController::EnforceBudget(ThreadPool* pool) {
   obs::EngineMetrics::Get().amnesia_shard_passes->Inc(shards);
   std::vector<uint64_t> active(shards);
   for (uint32_t s = 0; s < shards; ++s) {
-    const Table& shard = table_->shard(s).table();
-    if (options_.engine == Engine::kVectorized) {
-      // Recompute the live count morsel-at-a-time from the visibility
-      // bitmap; matches the maintained counter bit for bit.
-      uint64_t live = 0;
-      for (Morsel m : shard.Morsels()) live += MorselLiveCount(shard, m);
-      active[s] = live;
-    } else {
-      active[s] = shard.num_active();
-    }
+    active[s] = table_->shard(s).table().num_active();
   }
   last_budgets_ = SplitBudget(options_.dbsize_budget, active);
 

@@ -23,7 +23,6 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "query/oracle.h"
-#include "query/scan.h"
 #include "storage/sharded_table.h"
 
 namespace amnesia {
@@ -59,12 +58,6 @@ struct ShardedControllerOptions {
   /// Base seed; shard s draws from Rng(seed + s), so passes are
   /// reproducible regardless of which worker runs which shard.
   uint64_t seed = 42;
-  /// Engine used for the per-shard active-count sweep that feeds the
-  /// budget splitter: kScalar reads each shard's maintained counter,
-  /// kVectorized recomputes the count from the shard's visibility bitmap
-  /// with the batch popcount kernel (identical values; exercises the
-  /// kernel path over mid-forget punched-hole bitmaps).
-  Engine engine = Engine::kScalar;
 };
 
 /// \brief Runs one amnesia policy per shard to keep a ShardedTable within

@@ -71,13 +71,9 @@ StatusOr<ResultSet> Executor::RunPlan(const RangePredicate& pred,
     case PlanKind::kFullScan: {
       ++stats_.full_scans;
       stats_.rows_examined += table_->num_rows();
-      if (ThreadPool* pool = PoolFor(options.parallelism)) {
-        return ScanRangeParallel(*table_, pred, options.visibility, *pool,
-                                 kDefaultMorselRows,
-                                 static_cast<size_t>(options.parallelism),
-                                 options.engine);
-      }
-      return ScanRange(*table_, pred, options.visibility, options.engine);
+      return ScanRange(*table_, pred, options.visibility, options.engine,
+                       PoolFor(options.parallelism),
+                       static_cast<size_t>(options.parallelism));
     }
     case PlanKind::kBrinScan: {
       ++stats_.brin_scans;
@@ -165,15 +161,10 @@ StatusOr<AggregateResult> Executor::ExecuteAggregate(
     ++stats_.full_scans;
     stats_.rows_examined += table_->num_rows();
     if (prof) prof->Stage("execute");
-    StatusOr<AggregateResult> result = [&]() -> StatusOr<AggregateResult> {
-      if (ThreadPool* pool = PoolFor(options.parallelism)) {
-        return AggregateRangeParallel(
-            *table_, pred, options.visibility, *pool, kDefaultMorselRows,
-            static_cast<size_t>(options.parallelism), options.engine);
-      }
-      return AggregateRange(*table_, pred, options.visibility,
-                            options.engine);
-    }();
+    StatusOr<AggregateResult> result = AggregateRange(
+        *table_, pred, options.visibility, options.engine,
+        PoolFor(options.parallelism),
+        static_cast<size_t>(options.parallelism));
     if (prof && result.ok()) prof->Finish(result.value().count);
     return result;
   }

@@ -48,15 +48,17 @@ struct ExecOptions {
   /// full-scan plans. 1 (the default) runs
   /// the exact serial code path, including `record_access` ordering; >1
   /// scans disjoint RowId morsels on a pool and merges per-morsel results
-  /// in morsel order, so results and access bumps are identical to serial
-  /// (aggregates up to FP reassociation). Index plans ignore this knob.
+  /// in morsel order, so results, aggregates and access bumps are
+  /// identical to serial. Index plans ignore this knob.
   int parallelism = 1;
-  /// Execution engine for full-scan plans and the aggregate fold.
-  /// kVectorized routes scans through the batch-at-a-time selection-bitmap
-  /// kernels (same rows/COUNT/MIN/MAX as kScalar, SUM/AVG/variance up to
-  /// FP reassociation) and folds index-plan aggregates with the dense lane
-  /// kernel instead of Welford. Index lookups themselves are unaffected.
-  Engine engine = Engine::kScalar;
+  /// Execution engine for full-scan plans and the aggregate fold. The
+  /// default kVectorized runs the batch-at-a-time selection-bitmap kernels,
+  /// skips fully-forgotten morsels, and folds index-plan aggregates with
+  /// the dense lane kernel. kScalar is the reference engine (row loops and
+  /// a Welford fold) that tests and ablations select to cross-check it:
+  /// same rows/COUNT/MIN/MAX, SUM/AVG/variance up to FP reassociation.
+  /// Index lookups themselves are unaffected.
+  Engine engine = Engine::kVectorized;
   /// When true, the query records an EXPLAIN-ANALYZE-style QueryProfile
   /// (per-stage wall times, per-shard morsel/row counts, engine used)
   /// into ProfileLog::Global() — the /profilez data (query/profile.h).

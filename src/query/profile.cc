@@ -182,12 +182,9 @@ void ProfileCollector::NoteMorsel(const Table& table, Visibility visibility,
   const uint64_t size = morsel.size();
   const uint64_t live =
       visibility == Visibility::kAll ? size : MorselLiveCount(table, morsel);
-  // The vectorized kernels' wholesale-skip rule (scalar loops never skip):
-  // nothing visible in the morsel means no kernel ran.
-  const bool skipped =
-      engine == Engine::kVectorized &&
-      ((visibility == Visibility::kActiveOnly && live == 0) ||
-       (visibility == Visibility::kForgottenOnly && live == size));
+  // The vectorized kernels' wholesale-skip rule (scalar loops never skip).
+  const bool skipped = engine == Engine::kVectorized &&
+                       MorselSkippable(visibility, live, size);
   if (skipped) {
     slot.morsels_skipped.fetch_add(1, std::memory_order_relaxed);
     slot.rows_skipped.fetch_add(size, std::memory_order_relaxed);

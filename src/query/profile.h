@@ -73,7 +73,7 @@ struct QueryProfile {
   uint64_t query_id = 0;
   const char* op = "";  ///< "scan" | "count" | "aggregate".
   PlanKind plan = PlanKind::kFullScan;
-  Engine engine = Engine::kScalar;
+  Engine engine = Engine::kVectorized;
   Visibility visibility = Visibility::kActiveOnly;
   int parallelism = 1;
   uint64_t total_ns = 0;
@@ -103,8 +103,8 @@ class ProfileCollector {
   /// into shard 0).
   explicit ProfileCollector(uint32_t num_shards);
 
-  /// Attributes one morsel-kernel invocation. Mirrors the vectorized
-  /// kernels' wholesale-skip rule (query/vector_kernels.cc) from the same
+  /// Attributes one morsel-kernel invocation. Applies the vectorized
+  /// kernels' wholesale-skip rule (MorselSkippable) to the same
   /// MorselLiveCount input, so skip counts match scan.morsels_skipped for
   /// the bracketed operator; scalar kernels never skip.
   void NoteMorsel(const Table& table, Visibility visibility, Engine engine,
@@ -159,7 +159,7 @@ class ProfiledMorselScope {
   ProfileCollector* collector_;
   const Table* table_ = nullptr;
   Visibility visibility_ = Visibility::kActiveOnly;
-  Engine engine_ = Engine::kScalar;
+  Engine engine_ = Engine::kVectorized;
   Morsel morsel_{0, 0};
   uint32_t shard_ = 0;
   uint64_t start_ns_ = 0;
@@ -175,7 +175,7 @@ class ProfiledMorselScope {
 ///   ProfiledQuery pq("aggregate", plan, engine, vis, parallelism,
 ///                    table.num_shards());
 ///   pq.Stage("execute");
-///   auto result = AggregateRangeParallel(table, pred, vis, pool);
+///   auto result = AggregateRange(table, pred, vis, engine, &pool);
 ///   QueryProfile profile = pq.Finish(1);
 class ProfiledQuery {
  public:

@@ -2,7 +2,8 @@
 
 #include "query/scan.h"
 
-#include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "common/stats.h"
 #include "obs/engine_metrics.h"
@@ -13,10 +14,8 @@ namespace amnesia {
 
 namespace {
 
-// One operator-level increment per public Scan/Count/AggregateRange call,
-// keyed by the engine that actually ran. Parallel operators note only when
-// they take the parallel path — their serial fallback delegates to the
-// serial operator, which notes the call itself.
+// One operator-level increment per Scan/Count/AggregateRange call, keyed by
+// the engine that ran it.
 inline void NoteOp(Engine engine) {
 #if !defined(AMNESIA_NO_METRICS)
   obs::EngineMetrics& m = obs::EngineMetrics::Get();
@@ -50,17 +49,17 @@ inline bool Visible(const Table& table, RowId row, Visibility visibility) {
   return false;
 }
 
-Status ValidatePred(const Table& table, const RangePredicate& pred) {
-  if (pred.col >= table.num_columns()) {
+// Validates the predicate and notes the operator call.
+Status BeginScan(const ScanSource& source, const RangePredicate& pred,
+                 Engine engine) {
+  if (pred.col >= source.shard(0).num_columns()) {
     return Status::InvalidArgument("predicate column out of range");
   }
+  NoteOp(engine);
   return Status::OK();
 }
 
-// Scalar per-morsel kernels: the serial operators run them over one
-// whole-table morsel; the parallel operators run them per morsel and merge
-// in morsel order. Keeping exactly one copy of each match+visibility loop
-// is what upholds the parallel/serial equivalence contract. The vectorized
+// Scalar per-morsel kernels: the reference engine. The vectorized
 // counterparts live in query/vector_kernels.{h,cc} and uphold the same
 // contract against these loops.
 
@@ -116,92 +115,65 @@ RunningStats AggregateMorsel(const Table& table, const RangePredicate& pred,
   return stats;
 }
 
-Morsel WholeTable(const Table& table) { return Morsel{0, table.num_rows()}; }
-
-Status ValidatePred(const ShardedTable& table, const RangePredicate& pred) {
-  if (pred.col >= table.num_columns()) {
-    return Status::InvalidArgument("predicate column out of range");
+// Morsel-order merges of the per-morsel partials.
+void MergeInto(ResultSet* out, ResultSet&& part) {
+  if (out->rows.empty()) {
+    *out = std::move(part);
+    return;
   }
-  return Status::OK();
+  out->rows.insert(out->rows.end(), part.rows.begin(), part.rows.end());
+  out->values.insert(out->values.end(), part.values.begin(),
+                     part.values.end());
+}
+void MergeInto(uint64_t* out, uint64_t part) { *out += part; }
+void MergeInto(RunningStats* out, const RunningStats& part) {
+  out->Merge(part);
+}
+void MergeInto(VectorAggState* out, const VectorAggState& part) {
+  out->Merge(part);
 }
 
-// Runs the unsharded scan kernel on one shard-local morsel and rewrites
-// the result's row ids into the global encoding, so shard-major merges
-// produce globally addressed results with the same per-shard row order as
-// the unsharded kernel.
-ResultSet ScanShardMorsel(const ShardedTable& table, const RangePredicate& pred,
-                          Visibility visibility, ShardMorsel sm,
-                          Engine engine) {
-  const Shard& shard = table.shard(sm.shard);
-  ResultSet out;
-  {
-    ProfiledMorselScope prof(shard.table(), visibility, engine, sm.morsel,
-                             sm.shard);
-    if (engine == Engine::kVectorized) {
-      VectorScanContext& ctx = ThreadLocalScanContext();
-      ScanMorselVectorized(shard.table(), pred, visibility, sm.morsel, &ctx,
-                           &out);
-    } else {
-      out = ScanMorsel(shard.table(), pred, visibility, sm.morsel);
+// The morsel runner behind all three operators: splits every shard of
+// `source` into Table::Morsels(morsel_rows), runs `kernel(table, shard,
+// morsel)` per morsel on the calling thread or on `pool`, and merges the
+// partials in shard-major morsel order. The serial and parallel paths
+// merge the same partials in the same order, so their results are
+// identical.
+template <typename Partial, typename Kernel>
+Partial RunMorsels(const ScanSource& source, Visibility visibility,
+                   Engine engine, ThreadPool* pool, size_t max_workers,
+                   uint64_t morsel_rows, const Kernel& kernel) {
+  struct Work {
+    uint32_t shard;
+    Morsel morsel;
+  };
+  std::vector<Work> work;
+  for (uint32_t s = 0; s < source.num_shards(); ++s) {
+    for (Morsel m : source.shard(s).Morsels(morsel_rows)) {
+      work.push_back(Work{s, m});
     }
   }
-  for (RowId& r : out.rows) r = shard.ToGlobal(r);
+  const auto run = [&](const Work& w) {
+    const Table& table = source.shard(w.shard);
+    ProfiledMorselScope prof(table, visibility, engine, w.morsel, w.shard);
+    return kernel(table, w.shard, w.morsel);
+  };
+
+  Partial out{};
+  if (pool == nullptr || pool->EffectiveWidth(max_workers) <= 1 ||
+      work.size() <= 1) {
+    for (const Work& w : work) MergeInto(&out, run(w));
+    return out;
+  }
+  std::vector<Partial> partials(work.size());
+  pool->ParallelFor(0, work.size(), 1, max_workers,
+                    [&](uint64_t lo, uint64_t hi) {
+                      for (uint64_t i = lo; i < hi; ++i) {
+                        partials[i] = run(work[i]);
+                      }
+                    });
+  for (Partial& p : partials) MergeInto(&out, std::move(p));
   return out;
-}
-
-// Shared dispatch skeleton of the parallel operators: runs `kernel` over
-// every morsel on the pool and returns the per-morsel partials in morsel
-// order. Each operator supplies only its kernel and its merge step.
-template <typename Partial, typename Kernel>
-std::vector<Partial> RunMorsels(const MorselRange& morsels, ThreadPool& pool,
-                                size_t max_workers, const Kernel& kernel) {
-  std::vector<Partial> partials(morsels.count());
-  pool.ParallelFor(0, morsels.count(), 1, max_workers,
-                   [&](uint64_t lo, uint64_t hi) {
-                     for (uint64_t i = lo; i < hi; ++i) {
-                       partials[i] = kernel(morsels.at(i));
-                     }
-                   });
-  return partials;
-}
-
-// Serial batch-at-a-time drivers: one morsel's column slice at a time
-// through the vectorized kernels, reusing this thread's scratch buffers.
-// `shard` only labels the morsels for an active query profile (the
-// sharded serial operators run these drivers per shard).
-
-ResultSet ScanVectorized(const Table& table, const RangePredicate& pred,
-                         Visibility visibility, uint32_t shard = 0) {
-  VectorScanContext& ctx = ThreadLocalScanContext();
-  ResultSet out;
-  for (Morsel m : table.Morsels()) {
-    ProfiledMorselScope prof(table, visibility, Engine::kVectorized, m, shard);
-    ScanMorselVectorized(table, pred, visibility, m, &ctx, &out);
-  }
-  return out;
-}
-
-uint64_t CountVectorized(const Table& table, const RangePredicate& pred,
-                         Visibility visibility, uint32_t shard = 0) {
-  VectorScanContext& ctx = ThreadLocalScanContext();
-  uint64_t count = 0;
-  for (Morsel m : table.Morsels()) {
-    ProfiledMorselScope prof(table, visibility, Engine::kVectorized, m, shard);
-    count += CountMorselVectorized(table, pred, visibility, m, &ctx);
-  }
-  return count;
-}
-
-VectorAggState AggregateVectorized(const Table& table,
-                                   const RangePredicate& pred,
-                                   Visibility visibility, uint32_t shard = 0) {
-  VectorScanContext& ctx = ThreadLocalScanContext();
-  VectorAggState agg;
-  for (Morsel m : table.Morsels()) {
-    ProfiledMorselScope prof(table, visibility, Engine::kVectorized, m, shard);
-    agg.Merge(AggregateMorselVectorized(table, pred, visibility, m, &ctx));
-  }
-  return agg;
 }
 
 }  // namespace
@@ -217,337 +189,63 @@ AggregateResult ToAggregateResult(const RunningStats& stats) {
   return out;
 }
 
-StatusOr<ResultSet> ScanRange(const Table& table, const RangePredicate& pred,
-                              Visibility visibility, Engine engine) {
-  AMNESIA_RETURN_NOT_OK(ValidatePred(table, pred));
-  NoteOp(engine);
-  if (engine == Engine::kVectorized) {
-    return ScanVectorized(table, pred, visibility);
-  }
-  const Morsel whole = WholeTable(table);
-  ProfiledMorselScope prof(table, visibility, Engine::kScalar, whole, 0);
-  return ScanMorsel(table, pred, visibility, whole);
-}
-
-StatusOr<uint64_t> CountRange(const Table& table, const RangePredicate& pred,
-                              Visibility visibility, Engine engine) {
-  AMNESIA_RETURN_NOT_OK(ValidatePred(table, pred));
-  NoteOp(engine);
-  if (engine == Engine::kVectorized) {
-    return CountVectorized(table, pred, visibility);
-  }
-  const Morsel whole = WholeTable(table);
-  ProfiledMorselScope prof(table, visibility, Engine::kScalar, whole, 0);
-  return CountMorsel(table, pred, visibility, whole);
-}
-
-StatusOr<AggregateResult> AggregateRange(const Table& table,
-                                         const RangePredicate& pred,
-                                         Visibility visibility,
-                                         Engine engine) {
-  AMNESIA_RETURN_NOT_OK(ValidatePred(table, pred));
-  NoteOp(engine);
-  if (engine == Engine::kVectorized) {
-    return AggregateVectorized(table, pred, visibility).Finish();
-  }
-  const Morsel whole = WholeTable(table);
-  ProfiledMorselScope prof(table, visibility, Engine::kScalar, whole, 0);
-  return ToAggregateResult(AggregateMorsel(table, pred, visibility, whole));
-}
-
-StatusOr<ResultSet> ScanRangeParallel(const Table& table,
-                                      const RangePredicate& pred,
-                                      Visibility visibility, ThreadPool& pool,
-                                      uint64_t morsel_rows, size_t max_workers,
-                                      Engine engine) {
-  AMNESIA_RETURN_NOT_OK(ValidatePred(table, pred));
-  const MorselRange morsels = table.Morsels(morsel_rows);
-  if (pool.EffectiveWidth(max_workers) <= 1 || morsels.count() <= 1) {
-    return ScanRange(table, pred, visibility, engine);
-  }
-  NoteOp(engine);
-
-  // Merging in morsel order restores ascending RowId order.
-  const std::vector<ResultSet> partials = RunMorsels<ResultSet>(
-      morsels, pool, max_workers, [&](Morsel m) {
-        ProfiledMorselScope prof(table, visibility, engine, m, 0);
+StatusOr<ResultSet> ScanRange(ScanSource source, const RangePredicate& pred,
+                              Visibility visibility, Engine engine,
+                              ThreadPool* pool, size_t max_workers,
+                              uint64_t morsel_rows) {
+  AMNESIA_RETURN_NOT_OK(BeginScan(source, pred, engine));
+  return RunMorsels<ResultSet>(
+      source, visibility, engine, pool, max_workers, morsel_rows,
+      [&](const Table& table, uint32_t shard, Morsel m) {
+        ResultSet part;
         if (engine == Engine::kVectorized) {
-          ResultSet part;
           ScanMorselVectorized(table, pred, visibility, m,
                                &ThreadLocalScanContext(), &part);
-          return part;
+        } else {
+          part = ScanMorsel(table, pred, visibility, m);
         }
-        return ScanMorsel(table, pred, visibility, m);
-      });
-
-  size_t total = 0;
-  for (const ResultSet& p : partials) total += p.rows.size();
-  ResultSet out;
-  out.rows.reserve(total);
-  out.values.reserve(total);
-  for (const ResultSet& p : partials) {
-    out.rows.insert(out.rows.end(), p.rows.begin(), p.rows.end());
-    out.values.insert(out.values.end(), p.values.begin(), p.values.end());
-  }
-  return out;
-}
-
-StatusOr<uint64_t> CountRangeParallel(const Table& table,
-                                      const RangePredicate& pred,
-                                      Visibility visibility, ThreadPool& pool,
-                                      uint64_t morsel_rows, size_t max_workers,
-                                      Engine engine) {
-  AMNESIA_RETURN_NOT_OK(ValidatePred(table, pred));
-  const MorselRange morsels = table.Morsels(morsel_rows);
-  if (pool.EffectiveWidth(max_workers) <= 1 || morsels.count() <= 1) {
-    return CountRange(table, pred, visibility, engine);
-  }
-  NoteOp(engine);
-
-  const std::vector<uint64_t> partials = RunMorsels<uint64_t>(
-      morsels, pool, max_workers, [&](Morsel m) {
-        ProfiledMorselScope prof(table, visibility, engine, m, 0);
-        if (engine == Engine::kVectorized) {
-          return CountMorselVectorized(table, pred, visibility, m,
-                                       &ThreadLocalScanContext());
+        if (shard != 0) {
+          for (RowId& r : part.rows) r = MakeGlobalRowId(shard, r);
         }
-        return CountMorsel(table, pred, visibility, m);
+        return part;
       });
-
-  uint64_t count = 0;
-  for (uint64_t p : partials) count += p;
-  return count;
 }
 
-StatusOr<AggregateResult> AggregateRangeParallel(const Table& table,
-                                                 const RangePredicate& pred,
-                                                 Visibility visibility,
-                                                 ThreadPool& pool,
-                                                 uint64_t morsel_rows,
-                                                 size_t max_workers,
-                                                 Engine engine) {
-  AMNESIA_RETURN_NOT_OK(ValidatePred(table, pred));
-  const MorselRange morsels = table.Morsels(morsel_rows);
-  if (pool.EffectiveWidth(max_workers) <= 1 || morsels.count() <= 1) {
-    return AggregateRange(table, pred, visibility, engine);
-  }
-  NoteOp(engine);
-
-  if (engine == Engine::kVectorized) {
-    const std::vector<VectorAggState> partials = RunMorsels<VectorAggState>(
-        morsels, pool, max_workers, [&](Morsel m) {
-          ProfiledMorselScope prof(table, visibility, engine, m, 0);
-          return AggregateMorselVectorized(table, pred, visibility, m,
-                                           &ThreadLocalScanContext());
-        });
-    VectorAggState agg;
-    for (const VectorAggState& p : partials) agg.Merge(p);
-    return agg.Finish();
-  }
-
-  const std::vector<RunningStats> partials = RunMorsels<RunningStats>(
-      morsels, pool, max_workers, [&](Morsel m) {
-        ProfiledMorselScope prof(table, visibility, engine, m, 0);
-        return AggregateMorsel(table, pred, visibility, m);
+StatusOr<uint64_t> CountRange(ScanSource source, const RangePredicate& pred,
+                              Visibility visibility, Engine engine,
+                              ThreadPool* pool, size_t max_workers,
+                              uint64_t morsel_rows) {
+  AMNESIA_RETURN_NOT_OK(BeginScan(source, pred, engine));
+  return RunMorsels<uint64_t>(
+      source, visibility, engine, pool, max_workers, morsel_rows,
+      [&](const Table& table, uint32_t, Morsel m) {
+        return engine == Engine::kVectorized
+                   ? CountMorselVectorized(table, pred, visibility, m,
+                                           &ThreadLocalScanContext())
+                   : CountMorsel(table, pred, visibility, m);
       });
-
-  // Merge in morsel order: deterministic regardless of which worker ran
-  // which morsel, and min/max/count are exactly the serial values.
-  RunningStats stats;
-  for (const RunningStats& p : partials) stats.Merge(p);
-  return ToAggregateResult(stats);
 }
 
-// --------------------------------------------------- sharded operators
-
-StatusOr<ResultSet> ScanRange(const ShardedTable& table,
-                              const RangePredicate& pred,
-                              Visibility visibility, Engine engine) {
-  AMNESIA_RETURN_NOT_OK(ValidatePred(table, pred));
-  NoteOp(engine);
-  ResultSet out;
-  for (uint32_t s = 0; s < table.num_shards(); ++s) {
-    const Shard& shard = table.shard(s);
-    ResultSet part;
-    if (engine == Engine::kVectorized) {
-      part = ScanVectorized(shard.table(), pred, visibility, s);
-      for (RowId& r : part.rows) r = shard.ToGlobal(r);
-    } else {
-      part = ScanShardMorsel(table, pred, visibility,
-                             ShardMorsel{s, WholeTable(shard.table())},
-                             Engine::kScalar);
-    }
-    out.rows.insert(out.rows.end(), part.rows.begin(), part.rows.end());
-    out.values.insert(out.values.end(), part.values.begin(),
-                      part.values.end());
-  }
-  return out;
-}
-
-StatusOr<uint64_t> CountRange(const ShardedTable& table,
-                              const RangePredicate& pred,
-                              Visibility visibility, Engine engine) {
-  AMNESIA_RETURN_NOT_OK(ValidatePred(table, pred));
-  NoteOp(engine);
-  uint64_t count = 0;
-  for (uint32_t s = 0; s < table.num_shards(); ++s) {
-    const Table& shard = table.shard(s).table();
-    if (engine == Engine::kVectorized) {
-      count += CountVectorized(shard, pred, visibility, s);
-    } else {
-      const Morsel whole = WholeTable(shard);
-      ProfiledMorselScope prof(shard, visibility, Engine::kScalar, whole, s);
-      count += CountMorsel(shard, pred, visibility, whole);
-    }
-  }
-  return count;
-}
-
-StatusOr<AggregateResult> AggregateRange(const ShardedTable& table,
+StatusOr<AggregateResult> AggregateRange(ScanSource source,
                                          const RangePredicate& pred,
-                                         Visibility visibility,
-                                         Engine engine) {
-  AMNESIA_RETURN_NOT_OK(ValidatePred(table, pred));
-  NoteOp(engine);
+                                         Visibility visibility, Engine engine,
+                                         ThreadPool* pool, size_t max_workers,
+                                         uint64_t morsel_rows) {
+  AMNESIA_RETURN_NOT_OK(BeginScan(source, pred, engine));
   if (engine == Engine::kVectorized) {
-    // Per-shard partials merge in shard-major order, mirroring the scalar
-    // RunningStats merge below.
-    VectorAggState agg;
-    for (uint32_t s = 0; s < table.num_shards(); ++s) {
-      agg.Merge(
-          AggregateVectorized(table.shard(s).table(), pred, visibility, s));
-    }
-    return agg.Finish();
+    return RunMorsels<VectorAggState>(
+               source, visibility, engine, pool, max_workers, morsel_rows,
+               [&](const Table& table, uint32_t, Morsel m) {
+                 return AggregateMorselVectorized(table, pred, visibility, m,
+                                                  &ThreadLocalScanContext());
+               })
+        .Finish();
   }
-  RunningStats stats;
-  for (uint32_t s = 0; s < table.num_shards(); ++s) {
-    const Table& shard = table.shard(s).table();
-    const Morsel whole = WholeTable(shard);
-    ProfiledMorselScope prof(shard, visibility, Engine::kScalar, whole, s);
-    stats.Merge(AggregateMorsel(shard, pred, visibility, whole));
-  }
-  return ToAggregateResult(stats);
-}
-
-StatusOr<ResultSet> ScanRangeParallel(const ShardedTable& table,
-                                      const RangePredicate& pred,
-                                      Visibility visibility, ThreadPool& pool,
-                                      uint64_t morsel_rows, size_t max_workers,
-                                      Engine engine) {
-  AMNESIA_RETURN_NOT_OK(ValidatePred(table, pred));
-  const ShardedMorselRange morsels = table.Morsels(morsel_rows);
-  if (pool.EffectiveWidth(max_workers) <= 1 || morsels.count() <= 1) {
-    return ScanRange(table, pred, visibility, engine);
-  }
-  NoteOp(engine);
-
-  std::vector<ResultSet> partials(morsels.count());
-  pool.ParallelFor(0, morsels.count(), 1, max_workers,
-                   [&](uint64_t lo, uint64_t hi) {
-                     for (uint64_t i = lo; i < hi; ++i) {
-                       partials[i] = ScanShardMorsel(table, pred, visibility,
-                                                     morsels.at(i), engine);
-                     }
-                   });
-
-  size_t total = 0;
-  for (const ResultSet& p : partials) total += p.rows.size();
-  ResultSet out;
-  out.rows.reserve(total);
-  out.values.reserve(total);
-  for (const ResultSet& p : partials) {
-    out.rows.insert(out.rows.end(), p.rows.begin(), p.rows.end());
-    out.values.insert(out.values.end(), p.values.begin(), p.values.end());
-  }
-  return out;
-}
-
-StatusOr<uint64_t> CountRangeParallel(const ShardedTable& table,
-                                      const RangePredicate& pred,
-                                      Visibility visibility, ThreadPool& pool,
-                                      uint64_t morsel_rows, size_t max_workers,
-                                      Engine engine) {
-  AMNESIA_RETURN_NOT_OK(ValidatePred(table, pred));
-  const ShardedMorselRange morsels = table.Morsels(morsel_rows);
-  if (pool.EffectiveWidth(max_workers) <= 1 || morsels.count() <= 1) {
-    return CountRange(table, pred, visibility, engine);
-  }
-  NoteOp(engine);
-
-  std::vector<uint64_t> partials(morsels.count(), 0);
-  pool.ParallelFor(0, morsels.count(), 1, max_workers,
-                   [&](uint64_t lo, uint64_t hi) {
-                     for (uint64_t i = lo; i < hi; ++i) {
-                       const ShardMorsel sm = morsels.at(i);
-                       const Table& shard = table.shard(sm.shard).table();
-                       ProfiledMorselScope prof(shard, visibility, engine,
-                                                sm.morsel, sm.shard);
-                       partials[i] =
-                           engine == Engine::kVectorized
-                               ? CountMorselVectorized(
-                                     shard, pred, visibility, sm.morsel,
-                                     &ThreadLocalScanContext())
-                               : CountMorsel(shard, pred, visibility,
-                                             sm.morsel);
-                     }
-                   });
-
-  uint64_t count = 0;
-  for (uint64_t p : partials) count += p;
-  return count;
-}
-
-StatusOr<AggregateResult> AggregateRangeParallel(const ShardedTable& table,
-                                                 const RangePredicate& pred,
-                                                 Visibility visibility,
-                                                 ThreadPool& pool,
-                                                 uint64_t morsel_rows,
-                                                 size_t max_workers,
-                                                 Engine engine) {
-  AMNESIA_RETURN_NOT_OK(ValidatePred(table, pred));
-  const ShardedMorselRange morsels = table.Morsels(morsel_rows);
-  if (pool.EffectiveWidth(max_workers) <= 1 || morsels.count() <= 1) {
-    return AggregateRange(table, pred, visibility, engine);
-  }
-  NoteOp(engine);
-
-  if (engine == Engine::kVectorized) {
-    std::vector<VectorAggState> partials(morsels.count());
-    pool.ParallelFor(0, morsels.count(), 1, max_workers,
-                     [&](uint64_t lo, uint64_t hi) {
-                       for (uint64_t i = lo; i < hi; ++i) {
-                         const ShardMorsel sm = morsels.at(i);
-                         const Table& shard = table.shard(sm.shard).table();
-                         ProfiledMorselScope prof(shard, visibility, engine,
-                                                  sm.morsel, sm.shard);
-                         partials[i] = AggregateMorselVectorized(
-                             shard, pred, visibility, sm.morsel,
-                             &ThreadLocalScanContext());
-                       }
-                     });
-    VectorAggState agg;
-    for (const VectorAggState& p : partials) agg.Merge(p);
-    return agg.Finish();
-  }
-
-  std::vector<RunningStats> partials(morsels.count());
-  pool.ParallelFor(0, morsels.count(), 1, max_workers,
-                   [&](uint64_t lo, uint64_t hi) {
-                     for (uint64_t i = lo; i < hi; ++i) {
-                       const ShardMorsel sm = morsels.at(i);
-                       const Table& shard = table.shard(sm.shard).table();
-                       ProfiledMorselScope prof(shard, visibility, engine,
-                                                sm.morsel, sm.shard);
-                       partials[i] = AggregateMorsel(shard, pred, visibility,
-                                                     sm.morsel);
-                     }
-                   });
-
-  // Shard-major morsel order makes the merge deterministic and keeps
-  // COUNT/MIN/MAX exactly the serial sharded values.
-  RunningStats stats;
-  for (const RunningStats& p : partials) stats.Merge(p);
-  return ToAggregateResult(stats);
+  return ToAggregateResult(RunMorsels<RunningStats>(
+      source, visibility, engine, pool, max_workers, morsel_rows,
+      [&](const Table& table, uint32_t, Morsel m) {
+        return AggregateMorsel(table, pred, visibility, m);
+      }));
 }
 
 }  // namespace amnesia

@@ -4,17 +4,21 @@
 // that a complete scan can still fetch forgotten-but-present tuples, while
 // amnesia-aware plans only see active ones.
 //
-// Each operator has a serial form and a morsel-parallel form. The parallel
-// forms partition the table into disjoint RowId morsels, scan them on a
-// ThreadPool, and merge per-morsel results in morsel order, so row output
-// order is identical to the serial scan and COUNT/MIN/MAX are bit-identical
-// (SUM/AVG/variance can differ by FP reassociation only).
+// Three functions make up the whole scan surface: ScanRange, CountRange and
+// AggregateRange. Each reads a ScanSource (a Table, or a ShardedTable in
+// shard-major order), splits every shard into Table::Morsels, runs one
+// per-morsel kernel on the calling thread or on a ThreadPool, and merges
+// the per-morsel results in morsel order. Serial and parallel runs
+// therefore merge the same partials in the same order and return identical
+// results, aggregates included.
 //
-// Every operator additionally takes an Engine: kScalar runs the original
-// tuple-at-a-time row loops, kVectorized runs the batch-at-a-time kernels
-// of query/vector_kernels.h (branch-free selection bitmaps ANDed against
-// the visibility bitmap, with fully-forgotten morsels skipped wholesale).
-// Both engines return the same rows in the same order; COUNT/MIN/MAX are
+// The engine contract: Engine::kVectorized is the default and the one
+// production path. It runs the batch-at-a-time kernels of
+// query/vector_kernels.h (branch-free selection bitmaps ANDed against the
+// visibility bitmap, with fully-forgotten morsels skipped wholesale).
+// Engine::kScalar is the reference engine: tuple-at-a-time row loops that
+// tests and ablations select explicitly to cross-check the default. Both
+// engines return the same rows in the same order; COUNT/MIN/MAX are
 // bit-identical across engines, SUM/AVG/variance agree up to FP
 // reassociation (scalar folds through Welford, vectorized sums directly).
 
@@ -40,114 +44,68 @@ enum class Visibility : int {
 
 /// \brief Which execution engine a scan operator runs.
 enum class Engine : int {
-  kScalar = 0,      ///< Tuple-at-a-time row loops (the cross-check oracle).
+  kScalar = 0,      ///< Tuple-at-a-time row loops (the reference engine).
   kVectorized = 1,  ///< Batch-at-a-time selection-bitmap kernels.
 };
 
+/// \brief The shards a scan reads. Built implicitly from a Table (one
+/// shard with id 0, row ids unchanged) or from a ShardedTable (its shards
+/// in shard-major order, row ids mapped through MakeGlobalRowId). Borrows
+/// the table for the duration of one scan call.
+class ScanSource {
+ public:
+  ScanSource(const Table& table) : table_(&table) {}  // NOLINT
+  ScanSource(const ShardedTable& table) : sharded_(&table) {}  // NOLINT
+
+  /// Returns the number of shards (1 for a Table).
+  uint32_t num_shards() const {
+    return sharded_ == nullptr ? 1 : sharded_->num_shards();
+  }
+  /// Returns shard `s`'s storage. Precondition: s < num_shards().
+  const Table& shard(uint32_t s) const {
+    return sharded_ == nullptr ? *table_ : sharded_->shard(s).table();
+  }
+
+ private:
+  const Table* table_ = nullptr;
+  const ShardedTable* sharded_ = nullptr;
+};
+
 /// \brief Converts a finished accumulator into the aggregate result shape.
-/// The single definition of that mapping, shared by the serial kernel, the
-/// parallel merge, and the executor's index-plan fold.
+/// The single definition of that mapping, shared by the scalar merge and
+/// the executor's index-plan fold.
 AggregateResult ToAggregateResult(const RunningStats& stats);
 
-/// \brief Scans `table` for rows matching `pred` under `visibility`.
-/// Returns rows in ascending RowId order.
-StatusOr<ResultSet> ScanRange(const Table& table, const RangePredicate& pred,
+// The trailing knobs of all three operators: `pool` runs the morsels on a
+// ThreadPool (nullptr runs them on the calling thread), `max_workers` caps
+// the scan width below the pool size (0 = whole pool), and `morsel_rows`
+// sizes the morsels (Table::Morsels caps it at a mapped table's partition
+// size, so no morsel straddles a partition file). All three return
+// InvalidArgument when `pred.col` is out of range.
+
+/// \brief Scans `source` for rows matching `pred` under `visibility`.
+/// Returns rows in ascending (global) RowId order.
+StatusOr<ResultSet> ScanRange(ScanSource source, const RangePredicate& pred,
                               Visibility visibility,
-                              Engine engine = Engine::kScalar);
+                              Engine engine = Engine::kVectorized,
+                              ThreadPool* pool = nullptr,
+                              size_t max_workers = 0,
+                              uint64_t morsel_rows = kDefaultMorselRows);
 
 /// \brief Counts matching rows without materializing them.
-StatusOr<uint64_t> CountRange(const Table& table, const RangePredicate& pred,
+StatusOr<uint64_t> CountRange(ScanSource source, const RangePredicate& pred,
                               Visibility visibility,
-                              Engine engine = Engine::kScalar);
+                              Engine engine = Engine::kVectorized,
+                              ThreadPool* pool = nullptr,
+                              size_t max_workers = 0,
+                              uint64_t morsel_rows = kDefaultMorselRows);
 
 /// \brief Computes all aggregates over matching rows in one pass.
-StatusOr<AggregateResult> AggregateRange(const Table& table,
-                                         const RangePredicate& pred,
-                                         Visibility visibility,
-                                         Engine engine = Engine::kScalar);
-
-/// \brief Morsel-parallel ScanRange. Returns exactly the rows and values of
-/// the serial scan, in the same (ascending RowId) order. `max_workers`
-/// caps the scan width below the pool size (0 = whole pool); the serial
-/// kernel is used when the effective width is 1 or the table fits in one
-/// morsel.
-StatusOr<ResultSet> ScanRangeParallel(const Table& table,
-                                      const RangePredicate& pred,
-                                      Visibility visibility, ThreadPool& pool,
-                                      uint64_t morsel_rows = kDefaultMorselRows,
-                                      size_t max_workers = 0,
-                                      Engine engine = Engine::kScalar);
-
-/// \brief Morsel-parallel CountRange; bit-identical to the serial count.
-StatusOr<uint64_t> CountRangeParallel(const Table& table,
-                                      const RangePredicate& pred,
-                                      Visibility visibility, ThreadPool& pool,
-                                      uint64_t morsel_rows = kDefaultMorselRows,
-                                      size_t max_workers = 0,
-                                      Engine engine = Engine::kScalar);
-
-/// \brief Morsel-parallel AggregateRange. Partial accumulators are merged
-/// associatively in morsel order (Chan et al.), so COUNT/MIN/MAX match the
-/// serial kernel exactly and SUM/AVG/variance match up to FP reassociation.
-StatusOr<AggregateResult> AggregateRangeParallel(
-    const Table& table, const RangePredicate& pred, Visibility visibility,
-    ThreadPool& pool, uint64_t morsel_rows = kDefaultMorselRows,
-    size_t max_workers = 0, Engine engine = Engine::kScalar);
-
-// Sharded-table overloads. Each shard is scanned with the exact same
-// per-morsel kernels as the unsharded operators and per-shard results are
-// merged in shard-major order (ascending global RowId order), so a
-// single-shard table produces bit-identical rows, COUNT, MIN and MAX to
-// the unsharded serial kernels, and any shard count preserves the
-// COUNT/MIN/MAX of the same physical rows (SUM/AVG/variance up to FP
-// reassociation).
-
-/// \brief Scans every shard of `table` for rows matching `pred` under
-/// `visibility`. Returns global RowIds in shard-major (ascending global
-/// RowId) order.
-StatusOr<ResultSet> ScanRange(const ShardedTable& table,
-                              const RangePredicate& pred,
-                              Visibility visibility,
-                              Engine engine = Engine::kScalar);
-
-/// \brief Counts matching rows across all shards.
-StatusOr<uint64_t> CountRange(const ShardedTable& table,
-                              const RangePredicate& pred,
-                              Visibility visibility,
-                              Engine engine = Engine::kScalar);
-
-/// \brief Computes all aggregates over matching rows across all shards.
-StatusOr<AggregateResult> AggregateRange(const ShardedTable& table,
-                                         const RangePredicate& pred,
-                                         Visibility visibility,
-                                         Engine engine = Engine::kScalar);
-
-/// \brief Morsel-parallel sharded ScanRange: workers consume shard-local
-/// morsel streams (no morsel spans two shards), results merge in
-/// shard-major order — exactly the serial sharded scan's output.
-StatusOr<ResultSet> ScanRangeParallel(const ShardedTable& table,
-                                      const RangePredicate& pred,
-                                      Visibility visibility, ThreadPool& pool,
-                                      uint64_t morsel_rows = kDefaultMorselRows,
-                                      size_t max_workers = 0,
-                                      Engine engine = Engine::kScalar);
-
-/// \brief Morsel-parallel sharded CountRange; bit-identical to the serial
-/// sharded count.
-StatusOr<uint64_t> CountRangeParallel(const ShardedTable& table,
-                                      const RangePredicate& pred,
-                                      Visibility visibility, ThreadPool& pool,
-                                      uint64_t morsel_rows = kDefaultMorselRows,
-                                      size_t max_workers = 0,
-                                      Engine engine = Engine::kScalar);
-
-/// \brief Morsel-parallel sharded AggregateRange; COUNT/MIN/MAX match the
-/// serial sharded kernel exactly, SUM/AVG/variance up to FP reassociation.
-StatusOr<AggregateResult> AggregateRangeParallel(
-    const ShardedTable& table, const RangePredicate& pred,
-    Visibility visibility, ThreadPool& pool,
-    uint64_t morsel_rows = kDefaultMorselRows, size_t max_workers = 0,
-    Engine engine = Engine::kScalar);
+/// Per-morsel partials merge associatively in morsel order (Chan et al.).
+StatusOr<AggregateResult> AggregateRange(
+    ScanSource source, const RangePredicate& pred, Visibility visibility,
+    Engine engine = Engine::kVectorized, ThreadPool* pool = nullptr,
+    size_t max_workers = 0, uint64_t morsel_rows = kDefaultMorselRows);
 
 }  // namespace amnesia
 

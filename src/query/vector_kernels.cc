@@ -416,26 +416,42 @@ VectorAggState AggregateValues(const std::vector<Value>& values) {
   return agg;
 }
 
+namespace {
+
+// Applies the wholesale-skip rule to one morsel before any kernel runs and
+// notes the outcome. Returns false when the morsel is skipped.
+bool EnterMorsel(const Table& table, Visibility visibility, Morsel morsel) {
+  if (visibility != Visibility::kAll &&
+      MorselSkippable(visibility, MorselLiveCount(table, morsel),
+                      morsel.size())) {
+    NoteMorselSkipped();
+    return false;
+  }
+  NoteMorselScanned(morsel.size());
+  return true;
+}
+
+// Extracts the morsel's visibility words for the fused kernels; nullptr
+// under kAll (no visibility filter).
+const uint64_t* MorselVisibilityWords(const Table& table,
+                                      Visibility visibility, Morsel morsel,
+                                      VectorScanContext* ctx) {
+  if (visibility == Visibility::kAll) return nullptr;
+  ctx->visibility_words.resize(SelectionWordCount(morsel.size()));
+  table.active_bitmap().ExtractWords(morsel.begin, morsel.end,
+                                     ctx->visibility_words.data());
+  return ctx->visibility_words.data();
+}
+
+}  // namespace
+
 bool SelectMorsel(const Table& table, const RangePredicate& pred,
                   Visibility visibility, Morsel morsel,
                   VectorScanContext* ctx) {
-  // Skip check before any kernel: a fully-forgotten morsel contributes
-  // nothing under kActiveOnly, a fully-live one nothing under
-  // kForgottenOnly.
-  if (visibility != Visibility::kAll) {
-    const uint64_t live = MorselLiveCount(table, morsel);
-    if (visibility == Visibility::kActiveOnly && live == 0) {
-      ctx->sel.Reset(0);
-      NoteMorselSkipped();
-      return false;
-    }
-    if (visibility == Visibility::kForgottenOnly && live == morsel.size()) {
-      ctx->sel.Reset(0);
-      NoteMorselSkipped();
-      return false;
-    }
+  if (!EnterMorsel(table, visibility, morsel)) {
+    ctx->sel.Reset(0);
+    return false;
   }
-  NoteMorselScanned(morsel.size());
   const ValueSpan slice =
       table.column(pred.col).span(morsel.begin, morsel.end);
   SelectRange(slice.data, slice.size, pred.lo, pred.hi, &ctx->sel);
@@ -448,30 +464,12 @@ uint64_t CountMorselVectorized(const Table& table, const RangePredicate& pred,
                                Visibility visibility, Morsel morsel,
                                VectorScanContext* ctx) {
   if (pred.Empty() || morsel.size() == 0) return 0;
-  // Same wholesale-skip check as SelectMorsel.
-  const uint64_t* vis = nullptr;
-  bool invert = false;
-  if (visibility != Visibility::kAll) {
-    const uint64_t live = MorselLiveCount(table, morsel);
-    if (visibility == Visibility::kActiveOnly && live == 0) {
-      NoteMorselSkipped();
-      return 0;
-    }
-    if (visibility == Visibility::kForgottenOnly && live == morsel.size()) {
-      NoteMorselSkipped();
-      return 0;
-    }
-    ctx->visibility_words.resize(SelectionWordCount(morsel.size()));
-    table.active_bitmap().ExtractWords(morsel.begin, morsel.end,
-                                       ctx->visibility_words.data());
-    vis = ctx->visibility_words.data();
-    invert = visibility == Visibility::kForgottenOnly;
-  }
-  NoteMorselScanned(morsel.size());
+  if (!EnterMorsel(table, visibility, morsel)) return 0;
   const ValueSpan slice = table.column(pred.col).span(morsel.begin, morsel.end);
+  const uint64_t* vis = MorselVisibilityWords(table, visibility, morsel, ctx);
   return FusedCountRange(slice.data, slice.size,
                          static_cast<uint64_t>(pred.lo), pred.UnsignedSpan(),
-                         vis, invert);
+                         vis, visibility == Visibility::kForgottenOnly);
 }
 
 void ScanMorselVectorized(const Table& table, const RangePredicate& pred,
@@ -488,29 +486,12 @@ VectorAggState AggregateMorselVectorized(const Table& table,
                                          VectorScanContext* ctx) {
   VectorAggState agg;
   if (pred.Empty() || morsel.size() == 0) return agg;
-  // Same wholesale-skip check as SelectMorsel.
-  const uint64_t* vis = nullptr;
-  bool invert = false;
-  if (visibility != Visibility::kAll) {
-    const uint64_t live = MorselLiveCount(table, morsel);
-    if (visibility == Visibility::kActiveOnly && live == 0) {
-      NoteMorselSkipped();
-      return agg;
-    }
-    if (visibility == Visibility::kForgottenOnly && live == morsel.size()) {
-      NoteMorselSkipped();
-      return agg;
-    }
-    ctx->visibility_words.resize(SelectionWordCount(morsel.size()));
-    table.active_bitmap().ExtractWords(morsel.begin, morsel.end,
-                                       ctx->visibility_words.data());
-    vis = ctx->visibility_words.data();
-    invert = visibility == Visibility::kForgottenOnly;
-  }
-  NoteMorselScanned(morsel.size());
+  if (!EnterMorsel(table, visibility, morsel)) return agg;
   const ValueSpan slice = table.column(pred.col).span(morsel.begin, morsel.end);
+  const uint64_t* vis = MorselVisibilityWords(table, visibility, morsel, ctx);
   FusedAggregateRange(slice.data, slice.size, static_cast<uint64_t>(pred.lo),
-                      pred.UnsignedSpan(), vis, invert, &agg);
+                      pred.UnsignedSpan(), vis,
+                      visibility == Visibility::kForgottenOnly, &agg);
   return agg;
 }
 

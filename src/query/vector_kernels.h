@@ -109,6 +109,17 @@ void ApplyVisibility(const Bitmap& active, RowId first, Visibility visibility,
 /// morsel.size() under kForgottenOnly) means no kernel needs to run.
 uint64_t MorselLiveCount(const Table& table, Morsel morsel);
 
+/// The wholesale-skip rule, the one copy every skip decision calls: a
+/// morsel of `size` rows holding `live` active rows contributes nothing
+/// when live == 0 under kActiveOnly or live == size under kForgottenOnly
+/// (never under kAll). The vectorized kernels skip such a morsel before
+/// any kernel runs; the scalar engine never skips.
+inline bool MorselSkippable(Visibility visibility, uint64_t live,
+                            uint64_t size) {
+  return (visibility == Visibility::kActiveOnly && live == 0) ||
+         (visibility == Visibility::kForgottenOnly && live == size);
+}
+
 /// \brief Aggregate accumulator of the vectorized kernels: direct
 /// count/sum/sum-of-squares plus integer-domain extrema. Associative, so
 /// per-morsel partials merge in morsel order exactly like RunningStats.

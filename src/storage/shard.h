@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <utility>
-#include <vector>
 
 #include "storage/table.h"
 #include "storage/types.h"
@@ -66,67 +65,9 @@ class Shard {
   /// Translates a shard-local RowId into the global encoding.
   RowId ToGlobal(RowId local) const { return MakeGlobalRowId(id_, local); }
 
-  /// Partitions this shard's rows into scan morsels (shard-local ids).
-  MorselRange Morsels(uint64_t morsel_rows = kDefaultMorselRows) const {
-    return table_.Morsels(morsel_rows);
-  }
-
  private:
   uint32_t id_;
   Table table_;
-};
-
-/// \brief A morsel of scan work pinned to one shard.
-struct ShardMorsel {
-  uint32_t shard = 0;
-  /// Shard-local half-open row range.
-  Morsel morsel;
-};
-
-/// \brief Random-access partition of all shards' rows into shard-local
-/// morsels, enumerated in shard-major order.
-///
-/// Morsel i of the flattened range never spans a shard boundary, so a
-/// worker holding it touches exactly one shard's columns and bitmap (no
-/// false sharing across shards), and merging per-morsel results in index
-/// order yields shard-major row order — ascending global RowId order.
-class ShardedMorselRange {
- public:
-  /// Builds the partition for shards with the given row counts.
-  ShardedMorselRange(std::vector<uint64_t> shard_rows, uint64_t morsel_rows);
-
-  /// Returns the total number of morsels across all shards.
-  uint64_t count() const { return prefix_.back(); }
-
-  /// Returns the i-th morsel in shard-major order. Precondition:
-  /// i < count().
-  ShardMorsel at(uint64_t i) const;
-
-  /// \brief Forward iterator over the partition (for range-for loops).
-  class Iterator {
-   public:
-    Iterator(const ShardedMorselRange* range, uint64_t i)
-        : range_(range), i_(i) {}
-    ShardMorsel operator*() const { return range_->at(i_); }
-    Iterator& operator++() {
-      ++i_;
-      return *this;
-    }
-    bool operator!=(const Iterator& other) const { return i_ != other.i_; }
-
-   private:
-    const ShardedMorselRange* range_;
-    uint64_t i_;
-  };
-
-  Iterator begin() const { return Iterator(this, 0); }
-  Iterator end() const { return Iterator(this, count()); }
-
- private:
-  std::vector<uint64_t> shard_rows_;
-  uint64_t morsel_rows_;
-  /// prefix_[s] = number of morsels in shards [0, s); size num_shards + 1.
-  std::vector<uint64_t> prefix_;
 };
 
 }  // namespace amnesia

@@ -202,13 +202,6 @@ Value ShardedTable::min_seen(size_t col) const {
   return out;
 }
 
-ShardedMorselRange ShardedTable::Morsels(uint64_t morsel_rows) const {
-  std::vector<uint64_t> rows;
-  rows.reserve(shards_.size());
-  for (const Shard& s : shards_) rows.push_back(s.table().num_rows());
-  return ShardedMorselRange(std::move(rows), morsel_rows);
-}
-
 std::vector<RowMapping> ShardedTable::CompactForgotten() {
   std::vector<RowMapping> mappings;
   mappings.reserve(shards_.size());

@@ -126,10 +126,6 @@ class ShardedTable {
   /// shards.
   Value min_seen(size_t col) const;
 
-  /// Partitions every shard's rows into shard-local morsels, enumerated in
-  /// shard-major order (ascending global RowId order when merged).
-  ShardedMorselRange Morsels(uint64_t morsel_rows = kDefaultMorselRows) const;
-
   /// Physically removes forgotten rows shard by shard. Returns one
   /// shard-local RowMapping per shard (global ids change only in their
   /// low kShardLocalBits).

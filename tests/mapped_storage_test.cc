@@ -7,6 +7,7 @@
 // protocol, and bit-identity of the kMapped backend against the kVector
 // oracle across every amnesia policy, backends, and sharded tables.
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -17,8 +18,11 @@
 #include "amnesia/registry.h"
 #include "amnesia/sharded_controller.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "durability/checkpointer.h"
 #include "durability/event_log.h"
+#include "query/profile.h"
+#include "query/scan.h"
 #include "sim/simulator.h"
 #include "storage/checkpoint.h"
 #include "storage/checkpoint_io.h"
@@ -613,6 +617,95 @@ TEST(MappedShardedTest, ShardedForgetPassesMatchTheVectorOracle) {
     EXPECT_TRUE(mapped.shard(s).table().mapped());
     EXPECT_EQ(CheckpointTable(mapped.shard(s).table()),
               CheckpointTable(vec.shard(s).table()));
+  }
+}
+
+TEST(MappedShardedTest, ScanMorselsEndOnPartitionBoundaries) {
+  // A morsel request larger than a partition is capped per shard, so no
+  // morsel straddles two partition files.
+  constexpr uint64_t kPartitionRows = 256;
+  constexpr uint64_t kMorselRows = 1000;
+  ScratchDir dir("amnesia_mapped_sharded_morsels");
+  ShardedTable table =
+      ShardedTable::Make(Schema::SingleColumn("a", 0, 1'000'000), 4,
+                         Mapped(dir.path(), kPartitionRows))
+          .value();
+  Rng rng(29);
+  for (uint64_t i = 0; i < 6001; ++i) {
+    ASSERT_TRUE(table.AppendRow({rng.UniformInt(0, 999'999)}).ok());
+  }
+  // Shard 1 loses its first partition wholesale (a skippable morsel), the
+  // others a scattered 20%.
+  for (uint32_t s = 0; s < table.num_shards(); ++s) {
+    Table& shard = table.mutable_shard(s).mutable_table();
+    ASSERT_GT(shard.partitions().size(), 1u);
+    for (RowId r = 0; r < shard.num_rows(); ++r) {
+      if ((s == 1 && r < kPartitionRows) || rng.Bernoulli(0.2)) {
+        ASSERT_TRUE(shard.Forget(r).ok());
+      }
+    }
+  }
+  for (uint32_t s = 0; s < table.num_shards(); ++s) {
+    const Table& shard = table.shard(s).table();
+    for (Morsel m : shard.Morsels(kMorselRows)) {
+      EXPECT_TRUE(m.end % kPartitionRows == 0 || m.end == shard.num_rows())
+          << "shard " << s << " morsel ends at " << m.end;
+    }
+  }
+
+  ThreadPool pool(3);
+  const RangePredicate pred{0, 100'000, 800'000};
+  for (Visibility vis : {Visibility::kActiveOnly, Visibility::kAll,
+                         Visibility::kForgottenOnly}) {
+    // The reference: each shard scanned alone as a one-shard source under
+    // the scalar engine, its rows mapped to global ids by hand.
+    ResultSet want;
+    for (uint32_t s = 0; s < table.num_shards(); ++s) {
+      const ResultSet part =
+          ScanRange(table.shard(s).table(), pred, vis, Engine::kScalar)
+              .value();
+      for (RowId r : part.rows) want.rows.push_back(MakeGlobalRowId(s, r));
+      want.values.insert(want.values.end(), part.values.begin(),
+                         part.values.end());
+    }
+    for (Engine engine : {Engine::kScalar, Engine::kVectorized}) {
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        SCOPED_TRACE(testing::Message()
+                     << "visibility " << static_cast<int>(vis) << " engine "
+                     << static_cast<int>(engine) << " pool " << (p != nullptr));
+        ProfiledQuery pq("count", PlanKind::kFullScan, engine, vis,
+                         /*parallelism=*/p == nullptr ? 1 : 4,
+                         table.num_shards());
+        const uint64_t count =
+            CountRange(table, pred, vis, engine, p, 0, kMorselRows).value();
+        const QueryProfile profile = pq.Finish(count);
+        EXPECT_EQ(count, want.rows.size());
+#if !defined(AMNESIA_NO_METRICS)
+        for (uint32_t s = 0; s < table.num_shards(); ++s) {
+          const uint64_t rows = table.shard(s).table().num_rows();
+          const QueryProfile::ShardStats& st = profile.shards[s];
+          EXPECT_EQ(st.morsels_scanned + st.morsels_skipped,
+                    (rows + kPartitionRows - 1) / kPartitionRows)
+              << "shard " << s;
+        }
+#endif
+
+        const ResultSet got =
+            ScanRange(table, pred, vis, engine, p, 0, kMorselRows).value();
+        EXPECT_EQ(got.rows, want.rows);
+        EXPECT_EQ(got.values, want.values);
+        const AggregateResult agg =
+            AggregateRange(table, pred, vis, engine, p, 0, kMorselRows)
+                .value();
+        EXPECT_EQ(agg.count, want.values.size());
+        if (!want.values.empty()) {
+          EXPECT_EQ(agg.min, static_cast<double>(*std::min_element(
+                                 want.values.begin(), want.values.end())));
+          EXPECT_EQ(agg.max, static_cast<double>(*std::max_element(
+                                 want.values.begin(), want.values.end())));
+        }
+      }
+    }
   }
 }
 

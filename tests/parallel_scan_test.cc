@@ -1,11 +1,11 @@
 // Copyright 2026 The AmnesiaDB Authors
 //
-// Parallel/serial equivalence for the morsel-parallel scan engine, plus
+// Parallel/serial equivalence for the morsel-parallel scan runner, plus
 // unit coverage for the thread pool and the morsel partition itself.
-// The contract under test: for every parallelism and every visibility,
-// ScanRange returns identical rows/values, CountRange and the COUNT/MIN/MAX
-// aggregates are bit-identical, and SUM/AVG/variance agree within FP
-// reassociation tolerance.
+// The contract under test: for every parallelism, engine and visibility,
+// ScanRange returns the scalar reference's rows/values, CountRange and the
+// COUNT/MIN/MAX aggregates are bit-identical to it, and SUM/AVG/variance
+// agree within FP reassociation tolerance.
 
 #include <atomic>
 #include <cmath>
@@ -211,35 +211,63 @@ TEST_P(ParallelEquivalenceTest, ScanCountAggregateMatchSerial) {
 
   // One wide pool (7 helpers + caller = up to 8 scanners); the width under
   // test is applied per call via max_workers, mirroring how the executor
-  // maps ExecOptions::parallelism onto its cached pool.
+  // maps ExecOptions::parallelism onto its cached pool. Every parallel run,
+  // in either engine, is checked against the serial scalar reference.
   ThreadPool pool(7);
-  for (size_t width : {1u, 2u, 8u}) {
-    for (Visibility vis : kAllVisibilities) {
-      for (const RangePredicate& pred : preds) {
-        const ResultSet serial = ScanRange(t, pred, vis).value();
-        const ResultSet parallel =
-            ScanRangeParallel(t, pred, vis, pool, kTestMorselRows, width)
-                .value();
-        EXPECT_EQ(parallel.rows, serial.rows);
-        EXPECT_EQ(parallel.values, serial.values);
+  for (Engine engine : {Engine::kScalar, Engine::kVectorized}) {
+    for (size_t width : {1u, 2u, 8u}) {
+      for (Visibility vis : kAllVisibilities) {
+        for (const RangePredicate& pred : preds) {
+          const ResultSet serial =
+              ScanRange(t, pred, vis, Engine::kScalar).value();
+          const ResultSet parallel =
+              ScanRange(t, pred, vis, engine, &pool, width, kTestMorselRows)
+                  .value();
+          EXPECT_EQ(parallel.rows, serial.rows);
+          EXPECT_EQ(parallel.values, serial.values);
 
-        EXPECT_EQ(
-            CountRangeParallel(t, pred, vis, pool, kTestMorselRows, width)
-                .value(),
-            CountRange(t, pred, vis).value());
+          EXPECT_EQ(
+              CountRange(t, pred, vis, engine, &pool, width, kTestMorselRows)
+                  .value(),
+              CountRange(t, pred, vis, Engine::kScalar).value());
 
-        const AggregateResult sa = AggregateRange(t, pred, vis).value();
-        const AggregateResult pa =
-            AggregateRangeParallel(t, pred, vis, pool, kTestMorselRows, width)
-                .value();
-        EXPECT_EQ(pa.count, sa.count);
-        EXPECT_EQ(pa.min, sa.min);  // bit-identical incl. empty-range +inf
-        EXPECT_EQ(pa.max, sa.max);
-        EXPECT_NEAR(pa.sum, sa.sum, 1e-6 * (std::abs(sa.sum) + 1.0));
-        EXPECT_NEAR(pa.avg, sa.avg, 1e-9 * (std::abs(sa.avg) + 1.0));
-        EXPECT_NEAR(pa.variance, sa.variance,
-                    1e-6 * (std::abs(sa.variance) + 1.0));
+          const AggregateResult sa =
+              AggregateRange(t, pred, vis, Engine::kScalar).value();
+          const AggregateResult pa =
+              AggregateRange(t, pred, vis, engine, &pool, width,
+                             kTestMorselRows)
+                  .value();
+          EXPECT_EQ(pa.count, sa.count);
+          EXPECT_EQ(pa.min, sa.min);  // bit-identical incl. empty-range +inf
+          EXPECT_EQ(pa.max, sa.max);
+          EXPECT_NEAR(pa.sum, sa.sum, 1e-6 * (std::abs(sa.sum) + 1.0));
+          EXPECT_NEAR(pa.avg, sa.avg, 1e-9 * (std::abs(sa.avg) + 1.0));
+          EXPECT_NEAR(pa.variance, sa.variance,
+                      1e-6 * (std::abs(sa.variance) + 1.0));
+        }
       }
+    }
+  }
+}
+
+TEST(ParallelScanTest, AggregatesAreBitIdenticalToSerial) {
+  // Serial and parallel runs merge the same per-morsel partials in the
+  // same order, so even SUM/AVG/variance match bit for bit.
+  Table t = MakeRandomTable(2013, 0.3, 5);
+  ThreadPool pool(3);
+  const RangePredicate pred{0, 100, 900};
+  for (Engine engine : {Engine::kScalar, Engine::kVectorized}) {
+    for (Visibility vis : kAllVisibilities) {
+      const AggregateResult serial =
+          AggregateRange(t, pred, vis, engine, nullptr, 0, kTestMorselRows)
+              .value();
+      const AggregateResult parallel =
+          AggregateRange(t, pred, vis, engine, &pool, 4, kTestMorselRows)
+              .value();
+      EXPECT_EQ(parallel.count, serial.count);
+      EXPECT_EQ(parallel.sum, serial.sum);
+      EXPECT_EQ(parallel.avg, serial.avg);
+      EXPECT_EQ(parallel.variance, serial.variance);
     }
   }
 }

@@ -74,18 +74,17 @@ TEST(ProfileTest, ProfiledShardedVectorizedAggregateIsBitIdentical) {
   const ShardedTable table = MakeSkippyTable();
   ThreadPool pool(3);
 
-  auto plain = AggregateRangeParallel(table, kPred, Visibility::kActiveOnly,
-                                      pool, kDefaultMorselRows,
-                                      /*max_workers=*/4, Engine::kVectorized);
+  auto plain = AggregateRange(table, kPred, Visibility::kActiveOnly,
+                              Engine::kVectorized, &pool, /*max_workers=*/4);
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
 
   ProfiledQuery pq("aggregate", PlanKind::kFullScan, Engine::kVectorized,
                    Visibility::kActiveOnly, /*parallelism=*/4,
                    table.num_shards());
   pq.Stage("execute");
-  auto profiled = AggregateRangeParallel(
-      table, kPred, Visibility::kActiveOnly, pool, kDefaultMorselRows,
-      /*max_workers=*/4, Engine::kVectorized);
+  auto profiled = AggregateRange(table, kPred, Visibility::kActiveOnly,
+                                 Engine::kVectorized, &pool,
+                                 /*max_workers=*/4);
   ASSERT_TRUE(profiled.ok()) << profiled.status().ToString();
   const QueryProfile profile = pq.Finish(profiled->count);
 

@@ -5,9 +5,8 @@
 // Table path — same scan rows/values, same COUNT/MIN/MAX, and the same
 // forget-pass victims for every PolicyKind — and any shard count preserves
 // the global invariants (budget enforcement, value multiset, parallel =
-// serial dispatch). Plus unit coverage for the RowId codec, the
-// shard-major morsel range, the budget splitter, bulk ingest and sharded
-// checkpointing.
+// serial dispatch). Plus unit coverage for the RowId codec, the budget
+// splitter, bulk ingest and sharded checkpointing.
 
 #include <algorithm>
 #include <cmath>
@@ -71,40 +70,6 @@ TEST(ShardRowIdTest, CodecRoundTripsAndShardZeroIsIdentity) {
   EXPECT_LT(MakeGlobalRowId(1, kShardLocalMask), MakeGlobalRowId(2, 0));
   // kInvalidRow stays outside every legal (shard < kMaxShards) encoding.
   EXPECT_GE(ShardOfRow(kInvalidRow), kMaxShards);
-}
-
-// ------------------------------------------------- ShardedMorselRange
-
-TEST(ShardedMorselRangeTest, CoversEveryShardRowExactlyOnceInOrder) {
-  const ShardedMorselRange range({250, 0, 97, 10}, 97);
-  // shard 0: 3 morsels, shard 1: 0, shard 2: 1, shard 3: 1.
-  EXPECT_EQ(range.count(), 5u);
-  std::vector<uint64_t> covered(4, 0);
-  uint32_t last_shard = 0;
-  RowId expect_begin = 0;
-  for (ShardMorsel sm : range) {
-    ASSERT_GE(sm.shard, last_shard);  // shard-major enumeration
-    if (sm.shard != last_shard) {
-      last_shard = sm.shard;
-      expect_begin = 0;
-    }
-    EXPECT_EQ(sm.morsel.begin, expect_begin);
-    EXPECT_GT(sm.morsel.end, sm.morsel.begin);
-    covered[sm.shard] += sm.morsel.size();
-    expect_begin = sm.morsel.end;
-  }
-  EXPECT_EQ(covered, (std::vector<uint64_t>{250, 0, 97, 10}));
-}
-
-TEST(ShardedMorselRangeTest, EmptyShardsYieldNoMorsels) {
-  const ShardedMorselRange range({0, 0, 0}, 64);
-  EXPECT_EQ(range.count(), 0u);
-}
-
-TEST(ShardedMorselRangeTest, ZeroMorselRowsClampsToOne) {
-  const ShardedMorselRange range({3, 2}, 0);
-  EXPECT_EQ(range.count(), 5u);  // one row per morsel after the clamp
-  for (ShardMorsel sm : range) EXPECT_EQ(sm.morsel.size(), 1u);
 }
 
 // ------------------------------------------------------- ShardedTable
@@ -268,32 +233,31 @@ TEST(ShardedScanTest, SingleShardIsBitIdenticalToUnshardedSerial) {
       RangePredicate::All(0), {0, 100, 900}, {0, 500, 501}, {0, 700, 300}};
   for (Visibility vis : kAllVisibilities) {
     for (const RangePredicate& pred : preds) {
-      const ResultSet fs = ScanRange(flat, pred, vis).value();
-      const ResultSet ss = ScanRange(sharded, pred, vis).value();
-      EXPECT_EQ(ss.rows, fs.rows);      // bit-identical global == local ids
-      EXPECT_EQ(ss.values, fs.values);
-      const ResultSet sp =
-          ScanRangeParallel(sharded, pred, vis, pool, 97).value();
-      EXPECT_EQ(sp.rows, fs.rows);
-      EXPECT_EQ(sp.values, fs.values);
+      // The reference: the unsharded table under the scalar engine.
+      const ResultSet fs = ScanRange(flat, pred, vis, Engine::kScalar).value();
+      const uint64_t fc = CountRange(flat, pred, vis, Engine::kScalar).value();
+      const AggregateResult fa =
+          AggregateRange(flat, pred, vis, Engine::kScalar).value();
+      for (Engine engine : {Engine::kScalar, Engine::kVectorized}) {
+        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+          const ResultSet ss =
+              ScanRange(sharded, pred, vis, engine, p, 0, 97).value();
+          EXPECT_EQ(ss.rows, fs.rows);  // bit-identical global == local ids
+          EXPECT_EQ(ss.values, fs.values);
+          EXPECT_EQ(CountRange(sharded, pred, vis, engine, p, 0, 97).value(),
+                    fc);
 
-      EXPECT_EQ(CountRange(sharded, pred, vis).value(),
-                CountRange(flat, pred, vis).value());
-      EXPECT_EQ(CountRangeParallel(sharded, pred, vis, pool, 97).value(),
-                CountRange(flat, pred, vis).value());
-
-      const AggregateResult fa = AggregateRange(flat, pred, vis).value();
-      const AggregateResult sa = AggregateRange(sharded, pred, vis).value();
-      EXPECT_EQ(sa.count, fa.count);
-      EXPECT_EQ(sa.min, fa.min);  // bit-identical incl. empty-range +inf
-      EXPECT_EQ(sa.max, fa.max);
-      EXPECT_EQ(sa.sum, fa.sum);  // one shard: same accumulation order
-      const AggregateResult pa =
-          AggregateRangeParallel(sharded, pred, vis, pool, 97).value();
-      EXPECT_EQ(pa.count, fa.count);
-      EXPECT_EQ(pa.min, fa.min);
-      EXPECT_EQ(pa.max, fa.max);
-      EXPECT_NEAR(pa.sum, fa.sum, 1e-6 * (std::abs(fa.sum) + 1.0));
+          const AggregateResult sa =
+              AggregateRange(sharded, pred, vis, engine, p, 0, 97).value();
+          EXPECT_EQ(sa.count, fa.count);
+          EXPECT_EQ(sa.min, fa.min);  // bit-identical incl. empty-range +inf
+          EXPECT_EQ(sa.max, fa.max);
+          EXPECT_NEAR(sa.sum, fa.sum, 1e-6 * (std::abs(fa.sum) + 1.0));
+        }
+      }
+      // One shard at the same morsel size: the same accumulation order.
+      EXPECT_EQ(AggregateRange(sharded, pred, vis, Engine::kScalar).value().sum,
+                fa.sum);
     }
   }
 }
@@ -311,10 +275,11 @@ TEST(ShardedScanTest, AnyShardCountPreservesValuesAndAggregates) {
   ThreadPool pool(3);
   const RangePredicate pred{0, 200, 800};
   const uint64_t flat_count =
-      CountRange(flat, pred, Visibility::kAll).value();
+      CountRange(flat, pred, Visibility::kAll, Engine::kScalar).value();
   const AggregateResult flat_agg =
-      AggregateRange(flat, pred, Visibility::kAll).value();
-  ResultSet flat_scan = ScanRange(flat, pred, Visibility::kAll).value();
+      AggregateRange(flat, pred, Visibility::kAll, Engine::kScalar).value();
+  ResultSet flat_scan =
+      ScanRange(flat, pred, Visibility::kAll, Engine::kScalar).value();
   std::sort(flat_scan.values.begin(), flat_scan.values.end());
 
   for (uint32_t shards : {1u, 2u, 4u, 7u}) {
@@ -340,7 +305,8 @@ TEST(ShardedScanTest, AnyShardCountPreservesValuesAndAggregates) {
     // Parallel dispatch returns exactly the serial sharded result.
     const ResultSet serial = ScanRange(t, pred, Visibility::kAll).value();
     const ResultSet parallel =
-        ScanRangeParallel(t, pred, Visibility::kAll, pool, 97).value();
+        ScanRange(t, pred, Visibility::kAll, Engine::kVectorized, &pool, 0, 97)
+            .value();
     EXPECT_EQ(parallel.rows, serial.rows);
     EXPECT_EQ(parallel.values, serial.values);
   }

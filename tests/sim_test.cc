@@ -1,12 +1,19 @@
 // Copyright 2026 The AmnesiaDB Authors
 //
 // Tests for the simulator: config validation, invariants of the
-// query-dominant loop, determinism, the canned experiment configs.
+// query-dominant loop, determinism, engine equivalence, the canned
+// experiment configs.
+
+#include <algorithm>
+#include <cmath>
+#include <filesystem>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "sim/experiments.h"
 #include "sim/simulator.h"
+#include "storage/checkpoint.h"
 
 namespace amnesia {
 namespace {
@@ -159,6 +166,131 @@ TEST(SimulatorTest, ParallelBatchLoopMatchesSerial) {
     EXPECT_NEAR(rp.batches[i].aggregate_precision,
                 rs.batches[i].aggregate_precision, 1e-9);
   }
+}
+
+// Tiny versions of the three end-to-end benchmark shapes (perfbench/):
+// churn, scatter and scan. `dir` holds the run's checkpoints and
+// partition files.
+SimulationConfig ChurnShape(const std::string& dir) {
+  SimulationConfig c;
+  c.seed = 911;
+  c.dbsize = 1500;
+  c.upd_perc = 0.4;
+  c.num_batches = 6;
+  c.queries_per_batch = 10;
+  c.aggregate_queries_per_batch = 2;
+  c.record_access = false;
+  c.policy.kind = PolicyKind::kFifo;
+  c.backend = BackendKind::kDelete;
+  c.storage_backend = StorageBackend::kMapped;
+  c.storage_dir = dir + "/storage";
+  c.partition_rows = 256;
+  c.log_format = LogFormat::kSegmented;
+  c.vacuum_max_age_batches = 1;
+  c.audit_ledger = true;
+  c.checkpoint_every_n_batches = 4;
+  c.checkpoint_dir = dir + "/ckpt";
+  c.checkpoint_retention = 2;
+  return c;
+}
+
+SimulationConfig ScatterShape() {
+  SimulationConfig c;
+  c.seed = 912;
+  c.dbsize = 1500;
+  c.upd_perc = 0.4;
+  c.num_batches = 6;
+  c.queries_per_batch = 10;
+  c.aggregate_queries_per_batch = 2;
+  c.record_access = false;
+  c.policy.kind = PolicyKind::kUniform;
+  c.backend = BackendKind::kDelete;
+  return c;
+}
+
+SimulationConfig ScanShape() {
+  SimulationConfig c;
+  c.seed = 913;
+  c.dbsize = 2000;
+  c.upd_perc = 0.05;
+  c.num_batches = 6;
+  c.queries_per_batch = 20;
+  c.aggregate_queries_per_batch = 2;
+  c.policy.kind = PolicyKind::kRot;
+  c.record_access = true;
+  return c;
+}
+
+struct EngineRun {
+  SimulationResult result;
+  std::vector<uint8_t> final_table;
+};
+
+EngineRun RunWithEngine(SimulationConfig config, Engine engine,
+                        int parallelism) {
+  config.engine = engine;
+  config.parallelism = parallelism;
+  // Each run gets its own checkpoint and partition directories.
+  const std::string tag = "_" + std::to_string(static_cast<int>(engine)) +
+                          "_" + std::to_string(parallelism);
+  for (std::string* dir : {&config.checkpoint_dir, &config.storage_dir}) {
+    if (dir->empty()) continue;
+    *dir += tag;
+    std::filesystem::remove_all(*dir);
+  }
+  auto sim = Simulator::Make(config);
+  if (!sim.ok()) {
+    ADD_FAILURE() << sim.status().ToString();
+    return {};
+  }
+  auto result = (*sim)->Run();
+  if (!result.ok()) {
+    ADD_FAILURE() << result.status().ToString();
+    return {};
+  }
+  return {std::move(result).value(), CheckpointTable((*sim)->table())};
+}
+
+TEST(SimulatorTest, VectorizedEngineMatchesScalarReferenceOnBenchShapes) {
+  const std::string root =
+      (std::filesystem::temp_directory_path() / "amnesia_sim_engines")
+          .string();
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root);
+  const SimulationConfig shapes[] = {ChurnShape(root), ScatterShape(),
+                                     ScanShape()};
+  for (const SimulationConfig& shape : shapes) {
+    for (int parallelism : {1, 4}) {
+      SCOPED_TRACE(testing::Message()
+                   << PolicyKindToString(shape.policy.kind)
+                   << " parallelism " << parallelism);
+      const EngineRun scalar =
+          RunWithEngine(shape, Engine::kScalar, parallelism);
+      const EngineRun vec =
+          RunWithEngine(shape, SimulationConfig().engine, parallelism);
+      const auto& rs = scalar.result.batches;
+      const auto& rv = vec.result.batches;
+      ASSERT_EQ(rv.size(), rs.size());
+      ASSERT_EQ(rs.size(), shape.num_batches);
+      for (size_t i = 0; i < rs.size(); ++i) {
+        EXPECT_EQ(rv[i].mean_pf, rs[i].mean_pf) << "batch " << i;
+        EXPECT_EQ(rv[i].avg_rf, rs[i].avg_rf) << "batch " << i;
+        EXPECT_EQ(rv[i].avg_mf, rs[i].avg_mf) << "batch " << i;
+        EXPECT_EQ(rv[i].active, rs[i].active) << "batch " << i;
+        EXPECT_EQ(rv[i].forgotten_total, rs[i].forgotten_total)
+            << "batch " << i;
+        const double scale = std::max(
+            {1.0, std::fabs(rs[i].aggregate_precision),
+             std::fabs(rv[i].aggregate_precision)});
+        EXPECT_NEAR(rv[i].aggregate_precision, rs[i].aggregate_precision,
+                    1e-9 * scale)
+            << "batch " << i;
+      }
+      // Same table state, access counts included.
+      EXPECT_EQ(vec.final_table, scalar.final_table);
+    }
+  }
+  std::filesystem::remove_all(root);
 }
 
 TEST(ConfigTest, ValidateRejectsNonPositiveParallelism) {

@@ -17,7 +17,6 @@
 
 #include "amnesia/controller.h"
 #include "amnesia/registry.h"
-#include "amnesia/sharded_controller.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
@@ -76,42 +75,40 @@ void ExpectAggEqual(const AggregateResult& scalar,
 }
 
 // Runs every operator under both engines and checks the contract, serial
-// and morsel-parallel at widths 1 and 4.
-void ExpectEnginesAgree(const Table& table, const RangePredicate& pred) {
+// and morsel-parallel at widths 1 and 4, against the serial scalar
+// reference.
+void ExpectEnginesAgree(ScanSource source, const RangePredicate& pred) {
   ThreadPool pool(3);  // plus the caller: 4-way scans
   for (Visibility vis : kAllVisibilities) {
-    const ResultSet scalar_rows = ScanRange(table, pred, vis).value();
-    const ResultSet vec_rows =
-        ScanRange(table, pred, vis, Engine::kVectorized).value();
+    const ResultSet scalar_rows =
+        ScanRange(source, pred, vis, Engine::kScalar).value();
+    const ResultSet vec_rows = ScanRange(source, pred, vis).value();
     EXPECT_EQ(scalar_rows.rows, vec_rows.rows);
     EXPECT_EQ(scalar_rows.values, vec_rows.values);
 
-    const uint64_t scalar_count = CountRange(table, pred, vis).value();
-    EXPECT_EQ(scalar_count,
-              CountRange(table, pred, vis, Engine::kVectorized).value());
+    const uint64_t scalar_count =
+        CountRange(source, pred, vis, Engine::kScalar).value();
+    EXPECT_EQ(scalar_count, CountRange(source, pred, vis).value());
     EXPECT_EQ(scalar_count, scalar_rows.rows.size());
 
     const AggregateResult scalar_agg =
-        AggregateRange(table, pred, vis).value();
-    ExpectAggEqual(scalar_agg,
-                   AggregateRange(table, pred, vis, Engine::kVectorized)
-                       .value());
+        AggregateRange(source, pred, vis, Engine::kScalar).value();
+    ExpectAggEqual(scalar_agg, AggregateRange(source, pred, vis).value());
 
     for (size_t workers : {size_t{1}, size_t{4}}) {
       const ResultSet par =
-          ScanRangeParallel(table, pred, vis, pool, kTestMorselRows, workers,
-                            Engine::kVectorized)
+          ScanRange(source, pred, vis, Engine::kVectorized, &pool, workers,
+                    kTestMorselRows)
               .value();
       EXPECT_EQ(scalar_rows.rows, par.rows);
       EXPECT_EQ(scalar_rows.values, par.values);
       EXPECT_EQ(scalar_count,
-                CountRangeParallel(table, pred, vis, pool, kTestMorselRows,
-                                   workers, Engine::kVectorized)
+                CountRange(source, pred, vis, Engine::kVectorized, &pool,
+                           workers, kTestMorselRows)
                     .value());
       ExpectAggEqual(scalar_agg,
-                     AggregateRangeParallel(table, pred, vis, pool,
-                                            kTestMorselRows, workers,
-                                            Engine::kVectorized)
+                     AggregateRange(source, pred, vis, Engine::kVectorized,
+                                    &pool, workers, kTestMorselRows)
                          .value());
     }
   }
@@ -199,6 +196,32 @@ TEST(MorselSkipTest, FullyForgottenAndFullyLiveMorselsAreSkipped) {
       SelectMorsel(t, all, Visibility::kForgottenOnly, morsels.at(1), &ctx));
   // The skip must not change any operator's answer.
   ExpectEnginesAgree(t, all);
+}
+
+TEST(MorselSkipTest, LiveCountsSumToActiveAfterPunchedHoleForgetPasses) {
+  // The skip check reads MorselLiveCount; over a whole table it must add
+  // up to the maintained active counter, including after passes that
+  // punch scattered holes into the visibility bitmap.
+  for (PolicyKind kind : {PolicyKind::kFifo, PolicyKind::kUniform}) {
+    Table t = MakeRandomTable(5000, 0.0, 61, 0, 1000);
+    PolicyOptions popts;
+    popts.kind = kind;
+    auto policy = CreatePolicy(popts).value();
+    ControllerOptions copts;
+    copts.dbsize_budget = 3000;
+    auto ctrl = AmnesiaController::Make(copts, policy.get(), &t).value();
+    Rng rng(13);
+    for (uint64_t budget : {3000u, 1700u}) {
+      ctrl.set_dbsize_budget(budget);
+      ASSERT_TRUE(ctrl.EnforceBudget(&rng).ok());
+      ASSERT_EQ(t.num_active(), budget);
+      for (uint64_t morsel_rows : {kDefaultMorselRows, kTestMorselRows}) {
+        uint64_t live = 0;
+        for (Morsel m : t.Morsels(morsel_rows)) live += MorselLiveCount(t, m);
+        EXPECT_EQ(live, t.num_active()) << PolicyKindToString(kind);
+      }
+    }
+  }
 }
 
 TEST(VectorAggStateTest, EmptyFinishMatchesEmptyRunningStats) {
@@ -305,46 +328,6 @@ TEST(EngineEquivalenceTest, ScrubbedRowsUnderDeleteBackend) {
 
 // --------------------------------------------------- sharded engines
 
-void ExpectShardedEnginesAgree(const ShardedTable& table,
-                               const RangePredicate& pred) {
-  ThreadPool pool(3);
-  for (Visibility vis : kAllVisibilities) {
-    const ResultSet scalar_rows = ScanRange(table, pred, vis).value();
-    const ResultSet vec_rows =
-        ScanRange(table, pred, vis, Engine::kVectorized).value();
-    EXPECT_EQ(scalar_rows.rows, vec_rows.rows);
-    EXPECT_EQ(scalar_rows.values, vec_rows.values);
-
-    const uint64_t scalar_count = CountRange(table, pred, vis).value();
-    EXPECT_EQ(scalar_count,
-              CountRange(table, pred, vis, Engine::kVectorized).value());
-
-    const AggregateResult scalar_agg =
-        AggregateRange(table, pred, vis).value();
-    ExpectAggEqual(scalar_agg,
-                   AggregateRange(table, pred, vis, Engine::kVectorized)
-                       .value());
-
-    for (size_t workers : {size_t{1}, size_t{4}}) {
-      const ResultSet par =
-          ScanRangeParallel(table, pred, vis, pool, kTestMorselRows, workers,
-                            Engine::kVectorized)
-              .value();
-      EXPECT_EQ(scalar_rows.rows, par.rows);
-      EXPECT_EQ(scalar_rows.values, par.values);
-      EXPECT_EQ(scalar_count,
-                CountRangeParallel(table, pred, vis, pool, kTestMorselRows,
-                                   workers, Engine::kVectorized)
-                    .value());
-      ExpectAggEqual(scalar_agg,
-                     AggregateRangeParallel(table, pred, vis, pool,
-                                            kTestMorselRows, workers,
-                                            Engine::kVectorized)
-                         .value());
-    }
-  }
-}
-
 TEST(ShardedEngineEquivalenceTest, FourShardsSerialAndParallel) {
   ShardedTable t =
       ShardedTable::Make(Schema::SingleColumn("a", -1000, 1000), 4).value();
@@ -360,49 +343,8 @@ TEST(ShardedEngineEquivalenceTest, FourShardsSerialAndParallel) {
       ASSERT_TRUE(t.Forget(id).ok());
     }
   }
-  ExpectShardedEnginesAgree(t, RangePredicate{0, -400, 500});
-  ExpectShardedEnginesAgree(t, RangePredicate::All(0));
-}
-
-TEST(ShardedControllerTest, VectorizedActiveSweepMatchesScalarBudgets) {
-  // Two identical sharded tables, one controller per engine: the budget
-  // split and the post-pass state must be identical, because the
-  // vectorized popcount sweep must equal the maintained counters.
-  auto make = [] {
-    ShardedTable t =
-        ShardedTable::Make(Schema::SingleColumn("a", 0, 1000), 4).value();
-    Rng rng(59);
-    for (uint64_t i = 0; i < 800; ++i) {
-      EXPECT_TRUE(t.AppendRow({rng.UniformInt(0, 1000)}).ok());
-    }
-    return t;
-  };
-  ShardedTable scalar_t = make();
-  ShardedTable vec_t = make();
-
-  ShardedControllerOptions scalar_opts;
-  scalar_opts.dbsize_budget = 500;
-  ShardedControllerOptions vec_opts = scalar_opts;
-  vec_opts.engine = Engine::kVectorized;
-  PolicyOptions popts;
-  popts.kind = PolicyKind::kFifo;
-
-  auto scalar_ctrl =
-      ShardedAmnesiaController::Make(scalar_opts, popts, &scalar_t).value();
-  auto vec_ctrl =
-      ShardedAmnesiaController::Make(vec_opts, popts, &vec_t).value();
-  ASSERT_TRUE(scalar_ctrl.EnforceBudget().ok());
-  ASSERT_TRUE(vec_ctrl.EnforceBudget().ok());
-  EXPECT_EQ(scalar_ctrl.last_budgets(), vec_ctrl.last_budgets());
-  EXPECT_EQ(scalar_t.num_active(), vec_t.num_active());
-  for (uint32_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(scalar_t.shard(s).table().num_active(),
-              vec_t.shard(s).table().num_active());
-  }
-  // A second pass starts from a punched-hole bitmap state.
-  ASSERT_TRUE(vec_ctrl.EnforceBudget().ok());
-  ASSERT_TRUE(scalar_ctrl.EnforceBudget().ok());
-  EXPECT_EQ(scalar_ctrl.last_budgets(), vec_ctrl.last_budgets());
+  ExpectEnginesAgree(t, RangePredicate{0, -400, 500});
+  ExpectEnginesAgree(t, RangePredicate::All(0));
 }
 
 // ------------------------------------------------- conjunction plans
@@ -455,7 +397,9 @@ TEST(ConjunctionTest, VectorizedMatchesScalarReference) {
       // reduces to one.
       if (plan.preds.size() == 1) {
         EXPECT_EQ(scalar.rows,
-                  ScanRange(t, plan.preds[0], vis).value().rows);
+                  ScanRange(t, plan.preds[0], vis, Engine::kScalar)
+                      .value()
+                      .rows);
       }
     }
   }
@@ -481,10 +425,10 @@ TEST(ExecutorEngineTest, FullScanPlansAgreeIncludingAccessCounts) {
 
   const RangePredicate pred{0, -300, 600};
   for (int parallelism : {1, 4}) {
-    ExecOptions scalar_opts;
-    scalar_opts.parallelism = parallelism;
-    ExecOptions vec_opts = scalar_opts;
-    vec_opts.engine = Engine::kVectorized;
+    ExecOptions vec_opts;
+    vec_opts.parallelism = parallelism;
+    ExecOptions scalar_opts = vec_opts;
+    scalar_opts.engine = Engine::kScalar;
 
     const ResultSet a = scalar_exec.ExecuteRange(pred, scalar_opts).value();
     const ResultSet b = vec_exec.ExecuteRange(pred, vec_opts).value();
@@ -508,11 +452,11 @@ TEST(ExecutorEngineTest, IndexPlanAggregateFoldAgrees) {
   Executor scalar_exec(&t, &scalar_indexes);
   Executor vec_exec(&t, &vec_indexes);
   for (PlanKind plan : {PlanKind::kBrinScan, PlanKind::kBTreeProbe}) {
-    ExecOptions scalar_opts;
-    scalar_opts.plan = plan;
-    scalar_opts.record_access = false;
-    ExecOptions vec_opts = scalar_opts;
-    vec_opts.engine = Engine::kVectorized;
+    ExecOptions vec_opts;
+    vec_opts.plan = plan;
+    vec_opts.record_access = false;
+    ExecOptions scalar_opts = vec_opts;
+    scalar_opts.engine = Engine::kScalar;
     const RangePredicate pred{0, 100, 800};
     ExpectAggEqual(scalar_exec.ExecuteAggregate(pred, scalar_opts).value(),
                    vec_exec.ExecuteAggregate(pred, vec_opts).value());
