@@ -3,7 +3,6 @@
 #include "amnesia/rot.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace amnesia {
 
@@ -12,50 +11,42 @@ StatusOr<std::vector<RowId>> RotPolicy::SelectVictims(const Table& table,
   if (options_.smoothing <= 0.0) {
     return Status::InvalidArgument("rot smoothing must be positive");
   }
-  const std::vector<RowId> active = table.ActiveRows();
-  const size_t want = std::min(k, active.size());
+  const Bitmap& live = table.active_bitmap();
+  const size_t want = std::min<size_t>(k, table.num_active());
 
-  // High-water mark: only tuples old enough are eligible to rot.
+  // High-water mark: only tuples old enough are eligible to rot. Rows are
+  // stored in batch order, so the protected (young) rows are a suffix and
+  // the eligible ones are exactly the first `eligible` active ranks.
   const BatchId current = table.current_batch();
   const BatchId protect = options_.protect_latest_batches;
-  std::vector<RowId> eligible;
-  std::vector<RowId> young;
-  eligible.reserve(active.size());
-  for (RowId r : active) {
-    const BatchId b = table.batch_of(r);
-    const bool protected_row = b + protect > current;
-    if (protected_row) {
-      young.push_back(r);
-    } else {
-      eligible.push_back(r);
-    }
-  }
+  const RowId young_begin =
+      current + 1 > protect ? table.FirstRowFromBatch(current + 1 - protect)
+                            : 0;
+  const size_t eligible = live.CountSetPrefix(young_begin);
 
-  std::vector<double> weights(eligible.size());
-  for (size_t i = 0; i < eligible.size(); ++i) {
-    weights[i] = 1.0 / (options_.smoothing +
-                        static_cast<double>(table.access_count(eligible[i])));
-  }
-  std::vector<size_t> picks =
-      rng->WeightedSampleWithoutReplacement(weights, want);
-  std::vector<RowId> victims;
-  victims.reserve(want);
-  for (size_t p : picks) victims.push_back(eligible[p]);
+  // The sampler asks for weights in rank order, so a cursor walks the
+  // active rows from `from` once instead of materialising them.
+  auto rank_weights = [&](RowId from) {
+    return [this, &table, &live, cursor = from](size_t) mutable {
+      const RowId row = live.NextSet(cursor);
+      cursor = row + 1;
+      return 1.0 / (options_.smoothing +
+                    static_cast<double>(table.access_count(row)));
+    };
+  };
+  std::vector<size_t> ranks =
+      rng->WeightedSampleWithoutReplacement(eligible, want, rank_weights(0));
 
-  if (victims.size() < want) {
+  if (ranks.size() < want) {
     // Budget pressure exceeds the rot-eligible population: take the
     // least-accessed young tuples to make up the difference.
-    std::vector<double> young_weights(young.size());
-    for (size_t i = 0; i < young.size(); ++i) {
-      young_weights[i] =
-          1.0 / (options_.smoothing +
-                 static_cast<double>(table.access_count(young[i])));
-    }
     const std::vector<size_t> extra = rng->WeightedSampleWithoutReplacement(
-        young_weights, want - victims.size());
-    for (size_t p : extra) victims.push_back(young[p]);
+        table.num_active() - eligible, want - ranks.size(),
+        rank_weights(young_begin));
+    for (size_t p : extra) ranks.push_back(eligible + p);
   }
-  return victims;
+  std::sort(ranks.begin(), ranks.end());
+  return table.NthActiveRows(ranks);
 }
 
 }  // namespace amnesia

@@ -13,6 +13,9 @@ namespace amnesia {
 /// round; older tuples have simply been candidates more often, producing
 /// the exponential retention-by-age profile of Figure 1. "Serves as an
 /// easy to understand baseline."
+///
+/// A pass draws k active ranks (Floyd), sorts them and maps them to rows
+/// in one walk over the active bitmap: O(num_rows()/64 + k log k).
 class UniformPolicy final : public AmnesiaPolicy {
  public:
   PolicyKind kind() const override { return PolicyKind::kUniform; }

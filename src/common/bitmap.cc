@@ -2,6 +2,7 @@
 
 #include "common/bitmap.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace amnesia {
@@ -147,6 +148,39 @@ size_t Bitmap::SelectSet(size_t k) const {
     }
   }
   return size_;
+}
+
+std::vector<size_t> Bitmap::SelectSetSorted(
+    const std::vector<size_t>& ranks) const {
+  assert(std::is_sorted(ranks.begin(), ranks.end()));
+  std::vector<size_t> out(ranks.size(), size_);
+  size_t i = 0;
+  size_t seen = 0;  // set bits in words [0, w)
+  for (size_t w = 0; w < words_.size() && i < ranks.size(); ++w) {
+    const size_t pc = static_cast<size_t>(__builtin_popcountll(words_[w]));
+    // Every rank below seen + pc lands in this word; `word` drops its
+    // lowest set bit per step, so its lowest bit has rank `rank`.
+    uint64_t word = words_[w];
+    size_t rank = seen;
+    for (; i < ranks.size() && ranks[i] < seen + pc; ++i) {
+      for (; rank < ranks[i]; ++rank) word &= word - 1;
+      out[i] = (w << 6) + static_cast<size_t>(__builtin_ctzll(word));
+    }
+    seen += pc;
+  }
+  return out;
+}
+
+size_t Bitmap::NextSet(size_t from) const {
+  assert(from <= size_);
+  size_t w = from >> 6;
+  if (w >= words_.size()) return size_;
+  uint64_t word = words_[w] & (kAllOnes << (from & 63));
+  while (word == 0) {
+    if (++w == words_.size()) return size_;
+    word = words_[w];
+  }
+  return (w << 6) + static_cast<size_t>(__builtin_ctzll(word));
 }
 
 void Bitmap::Fill(bool value) {

@@ -1,8 +1,9 @@
 // Copyright 2026 The AmnesiaDB Authors
 //
 // A dynamic bitset used for tuple visibility (active vs. forgotten) and for
-// query result membership tests. Supports fast popcount and set-bit
-// iteration, the two operations the simulator leans on.
+// query result membership tests. Supports fast popcount, set-bit iteration
+// and select (rank -> index), the operations the simulator leans on. Every
+// walk is word-wise: popcount skips whole words, ctz finds bits inside one.
 
 #ifndef AMNESIA_COMMON_BITMAP_H_
 #define AMNESIA_COMMON_BITMAP_H_
@@ -93,8 +94,18 @@ class Bitmap {
   }
 
   /// Returns the index of the k-th (0-based) set bit, or size() if there are
-  /// fewer than k+1 set bits. O(words).
+  /// fewer than k+1 set bits. O(words): each call walks from word 0, so
+  /// selecting many ranks belongs in SelectSetSorted.
   size_t SelectSet(size_t k) const;
+
+  /// Batch select: returns out[i] == SelectSet(ranks[i]) for every i, in one
+  /// walk over the words, O(words + ranks.size()). Ranks at or past
+  /// CountSet() map to size(). Precondition: `ranks` is non-decreasing.
+  std::vector<size_t> SelectSetSorted(const std::vector<size_t>& ranks) const;
+
+  /// Returns the index of the first set bit at or after `from`, or size()
+  /// when there is none. Precondition: from <= size().
+  size_t NextSet(size_t from) const;
 
   /// Sets all bits to `value`.
   void Fill(bool value);

@@ -6,8 +6,9 @@
 #include <cassert>
 #include <cmath>
 #include <queue>
-#include <unordered_set>
 #include <utility>
+
+#include "common/bitmap.h"
 
 namespace amnesia {
 
@@ -109,14 +110,14 @@ std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
     Shuffle(&out);
     return out;
   }
-  // Floyd's algorithm.
-  std::unordered_set<size_t> chosen;
-  chosen.reserve(k * 2);
+  // Floyd's algorithm. j is new to `chosen` at step j, so a collision
+  // always falls back to a fresh index.
+  Bitmap chosen(n);
   out.reserve(k);
   for (size_t j = n - k; j < n; ++j) {
     size_t t = static_cast<size_t>(UniformInt(0, static_cast<int64_t>(j)));
-    if (chosen.count(t)) t = j;
-    chosen.insert(t);
+    if (chosen.Test(t)) t = j;
+    chosen.Set(t);
     out.push_back(t);
   }
   Shuffle(&out);
@@ -125,19 +126,24 @@ std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
 
 std::vector<size_t> Rng::WeightedSampleWithoutReplacement(
     const std::vector<double>& weights, size_t k) {
+  return WeightedSampleWithoutReplacement(
+      weights.size(), k, [&weights](size_t i) { return weights[i]; });
+}
+
+std::vector<size_t> Rng::WeightedSampleWithoutReplacement(
+    size_t n, size_t k, const std::function<double(size_t)>& weight) {
   // Efraimidis-Spirakis: key_i = u^(1/w_i); take the k largest keys.
   // Equivalently take the k smallest of -log(u)/w_i (exponential keys),
   // which is numerically friendlier.
   using Entry = std::pair<double, size_t>;  // (exp key, index)
   std::vector<size_t> out;
-  const size_t n = weights.size();
   if (n == 0 || k == 0) return out;
   k = std::min(k, n);
 
   std::priority_queue<Entry> heap;  // max-heap on key: keep k smallest keys
   std::vector<size_t> zero_weight;
   for (size_t i = 0; i < n; ++i) {
-    const double w = weights[i];
+    const double w = weight(i);
     if (!(w > 0.0)) {
       zero_weight.push_back(i);
       continue;

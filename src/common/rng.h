@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -78,9 +79,10 @@ class Rng {
     }
   }
 
-  /// Samples `k` distinct indices uniformly from [0, n) without replacement.
-  /// Returns fewer than k indices when k > n (all of them, shuffled).
-  /// Uses Floyd's algorithm: O(k) expected time, O(k) space.
+  /// Samples `k` distinct indices uniformly from [0, n) without replacement,
+  /// in random order. Returns fewer than k indices when k > n (all of them,
+  /// shuffled). Uses Floyd's algorithm with membership on an n-bit bitmap:
+  /// O(k + n/64) time, n/8 bytes of scratch.
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
 
   /// Samples `k` distinct indices from [0, n) with probability proportional
@@ -89,6 +91,13 @@ class Rng {
   /// enough positive-weight items. Returns min(k, n) indices.
   std::vector<size_t> WeightedSampleWithoutReplacement(
       const std::vector<double>& weights, size_t k);
+
+  /// The same sampler over `n` items whose weights come from `weight(i)`.
+  /// `weight` is called exactly once per index, in increasing order, so a
+  /// caller can stream weights from a cursor instead of materialising
+  /// them. Draws the same random numbers as the vector form.
+  std::vector<size_t> WeightedSampleWithoutReplacement(
+      size_t n, size_t k, const std::function<double(size_t)>& weight);
 
  private:
   uint64_t state_[4];

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <set>
@@ -25,6 +26,30 @@
 namespace amnesia {
 
 namespace {
+
+namespace fs = std::filesystem;
+
+/// The manifest names a mapped shard's storage directory relative to the
+/// checkpoint directory, so a manifest's bytes, and with them a seeded
+/// run's disk footprint, do not depend on where the database lives.
+std::string StorageDirForManifest(const std::string& checkpoint_dir,
+                                  const std::string& storage_dir) {
+  std::error_code ec;
+  const fs::path storage = fs::absolute(storage_dir, ec).lexically_normal();
+  if (ec) return storage_dir;
+  const fs::path base = fs::absolute(checkpoint_dir, ec).lexically_normal();
+  if (ec) return storage_dir;
+  const std::string relative = storage.lexically_relative(base).string();
+  return relative.empty() ? storage_dir : relative;
+}
+
+/// Inverse of StorageDirForManifest. An absolute path (as older manifests
+/// recorded) is used as is.
+std::string StorageDirFromManifest(const std::string& checkpoint_dir,
+                                   const std::string& stored) {
+  if (stored.empty() || fs::path(stored).is_absolute()) return stored;
+  return (fs::path(checkpoint_dir) / stored).lexically_normal().string();
+}
 
 constexpr uint32_t kManifestMagic = 0x414D4D46;  // "AMMF"
 // v1: shard blobs only (PR 3 binaries). v2: + cold/summary tier entries.
@@ -351,8 +376,8 @@ Status RunRetentionGc(const CheckpointerOptions& options, GcResult* out) {
     for (const ManifestShard& shard : manifest->shards) {
       referenced.insert(shard.filename);
       if (shard.mapped()) {
-        live_partitions[shard.storage_dir].insert(shard.partitions.begin(),
-                                                  shard.partitions.end());
+        live_partitions[StorageDirFromManifest(options.dir, shard.storage_dir)]
+            .insert(shard.partitions.begin(), shard.partitions.end());
       }
     }
     if (manifest->cold.present()) referenced.insert(manifest->cold.filename);
@@ -518,7 +543,8 @@ Status BackgroundCheckpointer::WriteSnapshot(
     entry.size = blobs[s].size();
     entry.crc32 = ckpt::Crc32(blobs[s]);
     if (snapshot.shards[s]->mapped) {
-      entry.storage_dir = snapshot.shards[s]->storage_dir;
+      entry.storage_dir = StorageDirForManifest(
+          options.dir, snapshot.shards[s]->storage_dir);
       entry.partition_rows = snapshot.shards[s]->partition_rows;
       for (const PartitionMeta& p : snapshot.shards[s]->partitions) {
         if (!p.dropped) {
@@ -706,8 +732,10 @@ Status RestoreManifestShards(const std::string& dir, const Manifest& manifest,
     AMNESIA_ASSIGN_OR_RETURN(
         std::vector<uint8_t> blob,
         ReadVerifiedBlob(dir, entry.filename, entry.size, entry.crc32));
-    AMNESIA_ASSIGN_OR_RETURN(Table table,
-                             RestoreTableWithStorage(blob, entry.storage_dir));
+    AMNESIA_ASSIGN_OR_RETURN(
+        Table table,
+        RestoreTableWithStorage(
+            blob, StorageDirFromManifest(dir, entry.storage_dir)));
     out->push_back(std::move(table));
   }
   return Status::OK();

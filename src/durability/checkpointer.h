@@ -67,7 +67,9 @@ struct ManifestShard {
   /// \name Mapped-shard storage (v3 manifests; empty for vector shards).
   /// @{
   /// Partition directory of the shard; recovery re-maps partition files
-  /// from here. Empty means the blob is self-contained (vector shard).
+  /// from here. Written relative to the checkpoint directory (so manifest
+  /// bytes do not depend on where the database lives); an absolute path
+  /// is read as is. Empty means the blob is self-contained (vector shard).
   std::string storage_dir;
   uint64_t partition_rows = 0;
   /// Directory names of the partitions live at checkpoint time. Retention

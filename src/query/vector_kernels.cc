@@ -383,6 +383,19 @@ void EmitSelected(const Value* data, const SelectionVector& sel, RowId first,
                   ResultSet* out) {
   const uint64_t* words = sel.words();
   const uint64_t word_count = sel.word_count();
+  // One popcount pass sizes the output, so the appends below never regrow.
+  // Capacity at least doubles, so a result that collects many morsels
+  // still grows geometrically instead of reallocating once per morsel.
+  size_t selected = 0;
+  for (uint64_t w = 0; w < word_count; ++w) {
+    selected += static_cast<size_t>(__builtin_popcountll(words[w]));
+  }
+  const size_t need = out->rows.size() + selected;
+  if (need > out->rows.capacity()) {
+    const size_t capacity = std::max(need, 2 * out->rows.capacity());
+    out->rows.reserve(capacity);
+    out->values.reserve(capacity);
+  }
   for (uint64_t w = 0; w < word_count; ++w) {
     uint64_t word = words[w];
     const uint64_t lane_base = w * kLanesPerWord;

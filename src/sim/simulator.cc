@@ -12,6 +12,15 @@
 
 namespace amnesia {
 
+uint64_t CountOverdueRows(const Table& table, uint64_t max_age_batches) {
+  // Overdue means batch_of(r) < current - max_age: the live rows in front
+  // of the first row of batch current - max_age.
+  const BatchId current = table.current_batch();
+  if (current <= max_age_batches) return 0;
+  return table.active_bitmap().CountSetPrefix(
+      table.FirstRowFromBatch(current - max_age_batches));
+}
+
 Simulator::Simulator(const SimulationConfig& config)
     : config_(config),
       rng_(config.seed),
@@ -385,9 +394,11 @@ StatusOr<BatchMetrics> Simulator::StepBatch() {
 
   // 2b. Attestation cross-check: before /slaz may claim "no live row
   //     older than T batches", count the live rows with a real CountRange
-  //     scan and walk the visibility bitmap for overdue survivors. The
-  //     claim is recorded pass or fail — a paused controller records a
-  //     failing attestation, it never silently skips one.
+  //     scan and popcount the visibility bitmap below the first row young
+  //     enough to keep (rows are stored in batch order, so the overdue
+  //     rows are exactly the live ones in that prefix). The claim is
+  //     recorded pass or fail — a paused controller records a failing
+  //     attestation, it never silently skips one.
   if (config_.vacuum_max_age_batches > 0) {
     obs::SlaAttestation att;
     att.checked = true;
@@ -397,15 +408,8 @@ StatusOr<BatchMetrics> Simulator::StepBatch() {
         att.live_rows,
         CountRange(table_, RangePredicate::All(config_.query.col),
                    Visibility::kActiveOnly, config_.engine));
-    const uint64_t current = table_.current_batch();
-    const uint64_t n = table_.num_rows();
-    uint64_t overdue = 0;
-    for (RowId r = 0; r < n; ++r) {
-      if (!table_.IsActive(r)) continue;
-      if (current - table_.batch_of(r) > config_.vacuum_max_age_batches) {
-        ++overdue;
-      }
-    }
+    const uint64_t overdue =
+        CountOverdueRows(table_, config_.vacuum_max_age_batches);
     att.overdue_rows = overdue;
     att.passed = overdue == 0 && att.live_rows == table_.num_active();
     sla_.RecordAttestation(std::string(PolicyKindToString(policy_->kind())),

@@ -57,6 +57,14 @@ struct BatchMetrics {
   double aggregate_rel_error = 0.0;  ///< Mean relative error.
 };
 
+/// Returns how many live rows of `table` are more than `max_age_batches`
+/// batches old (current_batch() - batch_of(row) > max_age_batches): the
+/// overdue count the simulator's SLA attestation asserts is zero. It reads
+/// only the visibility bitmap and the batch column, never controller
+/// state. Rows are stored in batch order, so it is one binary search and a
+/// prefix popcount, O(log rows + rows/64).
+uint64_t CountOverdueRows(const Table& table, uint64_t max_age_batches);
+
 /// \brief Complete result of a simulation run.
 struct SimulationResult {
   std::vector<BatchMetrics> batches;       ///< One entry per round, 1..N.

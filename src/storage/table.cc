@@ -2,6 +2,7 @@
 
 #include "storage/table.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -82,6 +83,9 @@ StatusOr<Table> Table::FromRawParts(RawParts parts) {
   }
   if (parts.next_tick < rows) {
     return Status::InvalidArgument("raw parts: next_tick below row count");
+  }
+  if (!std::is_sorted(parts.batches.begin(), parts.batches.end())) {
+    return Status::InvalidArgument("raw parts: batches out of row order");
   }
 
   Table table(std::move(parts.schema));
@@ -292,6 +296,9 @@ StatusOr<Table> Table::FromMappedParts(MappedParts parts) {
   if (parts.next_tick < rows) {
     return Status::InvalidArgument("mapped parts: next_tick below row count");
   }
+  if (!std::is_sorted(parts.batches.begin(), parts.batches.end())) {
+    return Status::InvalidArgument("mapped parts: batches out of row order");
+  }
 
   Table table(std::move(parts.schema));
   table.storage_ = std::move(parts.storage);
@@ -387,6 +394,15 @@ std::vector<RowId> Table::ActiveRows() const {
 RowId Table::NthActiveRow(uint64_t k) const {
   const size_t idx = active_.SelectSet(k);
   return idx == active_.size() ? kInvalidRow : idx;
+}
+
+std::vector<RowId> Table::NthActiveRows(
+    const std::vector<uint64_t>& ranks) const {
+  std::vector<RowId> rows = active_.SelectSetSorted(ranks);
+  for (RowId& row : rows) {
+    if (row == active_.size()) row = kInvalidRow;
+  }
+  return rows;
 }
 
 Status Table::ScrubRow(RowId row, Value scrub_value) {

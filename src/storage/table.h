@@ -287,8 +287,25 @@ class Table {
   std::vector<RowId> ActiveRows() const;
 
   /// Returns the RowId of the k-th active row in storage order, or
-  /// kInvalidRow when k >= num_active(). O(num_rows()/64).
+  /// kInvalidRow when k >= num_active(). O(num_rows()/64) per call, so
+  /// mapping many ranks belongs in NthActiveRows.
   RowId NthActiveRow(uint64_t k) const;
+
+  /// Batch form of NthActiveRow: out[i] == NthActiveRow(ranks[i]), all
+  /// mapped in one walk over the active bitmap, O(num_rows()/64 +
+  /// ranks.size()). Ranks at or past num_active() map to kInvalidRow.
+  /// Precondition: `ranks` is non-decreasing.
+  std::vector<RowId> NthActiveRows(const std::vector<uint64_t>& ranks) const;
+
+  /// Returns the first row inserted in batch `batch` or later, or
+  /// num_rows() when there is none. Rows are stored in batch order (every
+  /// append takes current_batch(), compaction keeps order and restore
+  /// checks it), so this is a binary search, O(log num_rows()).
+  RowId FirstRowFromBatch(BatchId batch) const {
+    return static_cast<RowId>(
+        std::lower_bound(batch_of_.begin(), batch_of_.end(), batch) -
+        batch_of_.begin());
+  }
 
   /// Returns the largest value ever appended to column `col` — the paper's
   /// "max value seen up to the latest update batch".

@@ -56,6 +56,34 @@ void CheckVictimContract(AmnesiaPolicy* policy, const Table& table, size_t k,
   }
 }
 
+// A table of `batches` batches of random sizes, some rows forgotten and
+// some accessed, so active ranks and rows diverge in every word shape.
+Table MakeRandomTable(Rng* shape, uint32_t batches) {
+  Table t = Table::Make(Schema::SingleColumn("a", 0, 1000)).value();
+  for (uint32_t b = 0; b < batches; ++b) {
+    t.BeginBatch();
+    const size_t rows = shape->UniformIndex(400);
+    for (size_t i = 0; i < rows; ++i) {
+      EXPECT_TRUE(t.AppendRow({static_cast<Value>(i % 1000)}).ok());
+    }
+  }
+  const double forget_share = shape->NextDouble();
+  for (RowId r = 0; r < t.num_rows(); ++r) {
+    if (shape->Bernoulli(forget_share)) {
+      EXPECT_TRUE(t.Forget(r).ok());
+    }
+    if (shape->Bernoulli(0.3)) {
+      for (uint64_t i = shape->UniformIndex(5); i > 0; --i) t.BumpAccess(r);
+    }
+  }
+  return t;
+}
+
+std::vector<RowId> Sorted(std::vector<RowId> rows) {
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
 // ------------------------------------------------------------ Policy kinds
 
 TEST(PolicyKindTest, NamesRoundTrip) {
@@ -170,6 +198,31 @@ TEST(UniformPolicyTest, EveryActiveTupleEquallyAtRisk) {
   }
 }
 
+// The one-walk select must pick exactly the rows a per-rank NthActiveRow
+// lookup of the same draws picks, and consume the same random numbers.
+TEST(UniformPolicyTest, VictimsMatchPerRankReference) {
+  Rng shape(20);
+  UniformPolicy uniform;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    const Table t = MakeRandomTable(&shape, 1 + seed % 7);
+    const size_t active = static_cast<size_t>(t.num_active());
+    for (size_t k : {active / 3, active > 0 ? active - 1 : 0, active,
+                     active + 9}) {
+      Rng got_rng(seed);
+      Rng want_rng(seed);
+      const std::vector<RowId> got =
+          uniform.SelectVictims(t, k, &got_rng).value();
+      std::vector<RowId> want;
+      for (size_t p : want_rng.SampleWithoutReplacement(active, k)) {
+        want.push_back(t.NthActiveRow(p));
+      }
+      ASSERT_EQ(Sorted(got), Sorted(want))
+          << "seed " << seed << " k " << k << " active " << active;
+      ASSERT_EQ(got_rng.NextU64(), want_rng.NextU64()) << "seed " << seed;
+    }
+  }
+}
+
 // ------------------------------------------------------------ Anterograde
 
 TEST(AnterogradePolicyTest, PrefersRecentTuples) {
@@ -258,6 +311,63 @@ TEST(RotPolicyTest, FallsBackToYoungWhenDemandExceedsEligible) {
   // Demand 15 > 10 eligible old tuples: must dip into the protected young.
   const auto victims = rot.SelectVictims(t, 15, &rng).value();
   EXPECT_EQ(victims.size(), 15u);
+}
+
+// Rot as it stood with materialised active, eligible, young and weight
+// vectors: the streaming pass must pick the same rows from the same draws.
+std::vector<RowId> MaterialisedRot(const Table& table, size_t k,
+                                   const RotOptions& options, Rng* rng) {
+  const std::vector<RowId> active = table.ActiveRows();
+  const size_t want = std::min(k, active.size());
+  std::vector<RowId> eligible, young;
+  for (RowId r : active) {
+    const bool protected_row =
+        table.batch_of(r) + options.protect_latest_batches >
+        table.current_batch();
+    (protected_row ? young : eligible).push_back(r);
+  }
+  auto weights_of = [&](const std::vector<RowId>& rows) {
+    std::vector<double> w;
+    for (RowId r : rows) {
+      w.push_back(1.0 / (options.smoothing +
+                         static_cast<double>(table.access_count(r))));
+    }
+    return w;
+  };
+  std::vector<RowId> victims;
+  for (size_t p : rng->WeightedSampleWithoutReplacement(weights_of(eligible),
+                                                        want)) {
+    victims.push_back(eligible[p]);
+  }
+  if (victims.size() < want) {
+    for (size_t p : rng->WeightedSampleWithoutReplacement(
+             weights_of(young), want - victims.size())) {
+      victims.push_back(young[p]);
+    }
+  }
+  return victims;
+}
+
+TEST(RotPolicyTest, VictimsMatchMaterialisedReference) {
+  Rng shape(21);
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    const Table t = MakeRandomTable(&shape, 1 + seed % 6);
+    RotOptions opts;
+    opts.protect_latest_batches = static_cast<uint32_t>(seed % 4);
+    opts.smoothing = 0.5 + static_cast<double>(seed % 3);
+    RotPolicy rot(opts);
+    const size_t active = static_cast<size_t>(t.num_active());
+    // Small k stays inside the eligible rows; large k forces the young
+    // top-up and the k > active clamp.
+    for (size_t k : {size_t{1}, active / 4, active, active + 3}) {
+      Rng got_rng(seed);
+      Rng want_rng(seed);
+      const std::vector<RowId> got = rot.SelectVictims(t, k, &got_rng).value();
+      ASSERT_EQ(Sorted(got), Sorted(MaterialisedRot(t, k, opts, &want_rng)))
+          << "seed " << seed << " k " << k << " active " << active;
+      ASSERT_EQ(got_rng.NextU64(), want_rng.NextU64()) << "seed " << seed;
+    }
+  }
 }
 
 TEST(RotPolicyTest, InvalidSmoothingRejected) {

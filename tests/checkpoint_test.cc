@@ -162,6 +162,10 @@ TEST(RawPartsTest, ValidatesShapes) {
   bad = parts;
   bad.columns = {{1, 2}, {3}};
   EXPECT_FALSE(Table::FromRawParts(bad).ok());
+
+  bad = parts;
+  bad.batches = {1, 0};  // rows are stored in batch order
+  EXPECT_FALSE(Table::FromRawParts(bad).ok());
 }
 
 

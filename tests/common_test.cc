@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "common/csv.h"
 #include "common/histogram.h"
 #include "common/logging.h"
+#include "common/rng.h"
 #include "common/stats.h"
 #include "common/status.h"
 
@@ -180,6 +182,73 @@ TEST(BitmapTest, SelectSet) {
   EXPECT_EQ(b.SelectSet(1), 70u);
   EXPECT_EQ(b.SelectSet(2), 200u);
   EXPECT_EQ(b.SelectSet(3), b.size());  // out of population
+}
+
+// Every rank in [0, CountSet() + 3), ascending, through the batch select,
+// checked one by one against SelectSet.
+void ExpectBatchSelectMatchesSelectSet(const Bitmap& b) {
+  std::vector<size_t> ranks;
+  for (size_t r = 0; r < b.CountSet() + 3; ++r) ranks.push_back(r);
+  const std::vector<size_t> got = b.SelectSetSorted(ranks);
+  ASSERT_EQ(got.size(), ranks.size());
+  for (size_t i = 0; i < ranks.size(); ++i) {
+    EXPECT_EQ(got[i], b.SelectSet(ranks[i])) << "rank " << ranks[i];
+  }
+}
+
+TEST(BitmapTest, SelectSetSortedOnEmptyAllSetAndSparse) {
+  ExpectBatchSelectMatchesSelectSet(Bitmap(0));
+  ExpectBatchSelectMatchesSelectSet(Bitmap(200));        // no bit set
+  ExpectBatchSelectMatchesSelectSet(Bitmap(200, true));  // partial last word
+  ExpectBatchSelectMatchesSelectSet(Bitmap(256, true));  // full last word
+  Bitmap sparse(1000);
+  for (size_t i : {0u, 63u, 64u, 500u, 998u, 999u}) sparse.Set(i);
+  ExpectBatchSelectMatchesSelectSet(sparse);
+  EXPECT_TRUE(sparse.SelectSetSorted({}).empty());
+}
+
+TEST(BitmapTest, SelectSetSortedSkipsPunchedOutWords) {
+  Bitmap b(700, true);  // 10 full words and a 60-bit partial one
+  b.ClearRange(64, 256);   // words 1-3 empty
+  b.ClearRange(640, 699);  // partial last word keeps one bit
+  b.Clear(5);
+  ExpectBatchSelectMatchesSelectSet(b);
+  // Ranks at and past the population map to size().
+  const size_t pop = b.CountSet();
+  EXPECT_EQ(b.SelectSetSorted({pop - 1, pop, pop + 100}),
+            (std::vector<size_t>{699, 700, 700}));
+}
+
+TEST(BitmapTest, SelectSetSortedMatchesSelectSetOnRandomBitmaps) {
+  Rng rng(11);
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t n = rng.UniformIndex(600);
+    const double density = rng.NextDouble();
+    Bitmap b(n);
+    for (size_t i = 0; i < n; ++i) b.Assign(i, rng.Bernoulli(density));
+    // A random duplicate-free ascending subset of ranks, some past the end.
+    std::vector<size_t> ranks;
+    for (size_t r = 0; r < b.CountSet() + 5; ++r) {
+      if (rng.Bernoulli(0.3)) ranks.push_back(r);
+    }
+    const std::vector<size_t> got = b.SelectSetSorted(ranks);
+    ASSERT_EQ(got.size(), ranks.size());
+    for (size_t i = 0; i < ranks.size(); ++i) {
+      ASSERT_EQ(got[i], b.SelectSet(ranks[i]))
+          << "trial " << trial << " rank " << ranks[i];
+    }
+  }
+}
+
+TEST(BitmapTest, NextSetFindsTheFirstSetBitAtOrAfter) {
+  Bitmap b(200);
+  for (size_t i : {3u, 64u, 130u, 199u}) b.Set(i);
+  for (size_t from = 0; from <= b.size(); ++from) {
+    size_t expect = from;
+    while (expect < b.size() && !b.Test(expect)) ++expect;
+    EXPECT_EQ(b.NextSet(from), expect) << "from " << from;
+  }
+  EXPECT_EQ(Bitmap(0).NextSet(0), 0u);
 }
 
 TEST(BitmapTest, ResizeKeepsPrefixAndFillsNewBits) {

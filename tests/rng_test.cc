@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -182,6 +183,46 @@ TEST(RngTest, SampleWithoutReplacementIsUnbiased) {
   }
 }
 
+// Floyd's sampler as it stood with a hash set for membership: the bitmap
+// version must draw the same numbers and return the same sequence.
+std::vector<size_t> HashSetFloyd(Rng* rng, size_t n, size_t k) {
+  std::vector<size_t> out;
+  if (n == 0 || k == 0) return out;
+  if (k >= n) {
+    out.resize(n);
+    for (size_t i = 0; i < n; ++i) out[i] = i;
+    rng->Shuffle(&out);
+    return out;
+  }
+  std::unordered_set<size_t> chosen;
+  for (size_t j = n - k; j < n; ++j) {
+    size_t t = static_cast<size_t>(rng->UniformInt(0, static_cast<int64_t>(j)));
+    if (chosen.count(t)) t = j;
+    chosen.insert(t);
+    out.push_back(t);
+  }
+  rng->Shuffle(&out);
+  return out;
+}
+
+TEST(RngTest, SampleWithoutReplacementMatchesHashSetFloyd) {
+  const size_t ns[] = {0, 1, 2, 63, 64, 65, 100, 1000, 14000};
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    for (size_t n : ns) {
+      for (size_t k : {size_t{0}, size_t{1}, n / 3, n - n / 10, n, n + 7}) {
+        Rng got_rng(seed);
+        Rng want_rng(seed);
+        ASSERT_EQ(got_rng.SampleWithoutReplacement(n, k),
+                  HashSetFloyd(&want_rng, n, k))
+            << "seed " << seed << " n " << n << " k " << k;
+        // Same stream position afterwards: nothing extra was drawn.
+        ASSERT_EQ(got_rng.NextU64(), want_rng.NextU64())
+            << "seed " << seed << " n " << n << " k " << k;
+      }
+    }
+  }
+}
+
 TEST(RngTest, WeightedSampleRespectsK) {
   Rng rng(37);
   std::vector<double> w{1.0, 1.0, 1.0, 1.0};
@@ -228,6 +269,29 @@ TEST(RngTest, WeightedSampleFallsBackToZeroWeight) {
   const auto s = rng.WeightedSampleWithoutReplacement(w, 3);
   std::set<size_t> unique(s.begin(), s.end());
   EXPECT_EQ(unique.size(), 3u);  // everything selected, zeros last resort
+}
+
+TEST(RngTest, WeightedSampleCallbackFormMatchesVectorForm) {
+  Rng shape(47);
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    const size_t n = shape.UniformIndex(300);
+    std::vector<double> w(n);
+    for (double& x : w) x = shape.Bernoulli(0.1) ? 0.0 : shape.NextDouble();
+    const size_t k = shape.UniformIndex(n + 5);
+    Rng vec_rng(seed);
+    Rng fn_rng(seed);
+    size_t next = 0;  // the callback must see 0, 1, ..., n-1 once each
+    const std::vector<size_t> got = fn_rng.WeightedSampleWithoutReplacement(
+        n, k, [&](size_t i) {
+          EXPECT_EQ(i, next);
+          ++next;
+          return w[i];
+        });
+    EXPECT_EQ(next, k == 0 ? 0 : n);
+    EXPECT_EQ(got, vec_rng.WeightedSampleWithoutReplacement(w, k))
+        << "seed " << seed;
+    EXPECT_EQ(fn_rng.NextU64(), vec_rng.NextU64()) << "seed " << seed;
+  }
 }
 
 // ------------------------------------------------------------------ Zipf

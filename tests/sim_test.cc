@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <map>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -293,6 +294,44 @@ TEST(SimulatorTest, VectorizedEngineMatchesScalarReferenceOnBenchShapes) {
   std::filesystem::remove_all(root);
 }
 
+// Size of every file under `root`, keyed by its path below `root`.
+std::map<std::string, uintmax_t> FileSizes(const std::string& root) {
+  std::map<std::string, uintmax_t> sizes;
+  for (const auto& e : std::filesystem::recursive_directory_iterator(root)) {
+    if (e.is_regular_file()) {
+      sizes[std::filesystem::relative(e.path(), root).string()] =
+          e.file_size();
+    }
+  }
+  return sizes;
+}
+
+// A seeded run leaves the same bytes on disk wherever it runs: the churn
+// shape (mapped storage, async checkpoints with retention, segmented log,
+// audit ledger) run twice, into directories whose paths differ in length,
+// must leave the same files with the same sizes.
+TEST(SimulatorTest, DiskFootprintIsAFunctionOfTheSeed) {
+  const std::filesystem::path tmp = std::filesystem::temp_directory_path();
+  std::map<std::string, uintmax_t> sizes[2];
+  const std::string roots[2] = {(tmp / "amnesia_disk_a").string(),
+                                (tmp / "amnesia_disk_a_longer_path").string()};
+  for (int i = 0; i < 2; ++i) {
+    std::filesystem::remove_all(roots[i]);
+    std::filesystem::create_directories(roots[i]);
+    SimulationConfig c = ChurnShape(roots[i]);
+    ASSERT_TRUE(c.checkpoint_async);
+    c.num_batches = 13;  // three checkpoints, so retention GC runs
+    auto sim = Simulator::Make(c);
+    ASSERT_TRUE(sim.ok()) << sim.status().ToString();
+    const Status run = (*sim)->Run().status();
+    ASSERT_TRUE(run.ok()) << run.ToString();
+    sizes[i] = FileSizes(roots[i]);
+  }
+  EXPECT_FALSE(sizes[0].empty());
+  EXPECT_EQ(sizes[0], sizes[1]);
+  for (const std::string& root : roots) std::filesystem::remove_all(root);
+}
+
 TEST(ConfigTest, ValidateRejectsNonPositiveParallelism) {
   SimulationConfig c = SmallConfig();
   c.parallelism = 0;
@@ -421,6 +460,78 @@ TEST(SimulatorTest, MutableAccessorsExposeLiveComponents) {
   // insert 40 -> 239 active -> budget 200.
   const BatchMetrics m = sim->StepBatch().value();
   EXPECT_EQ(m.active, 200u);
+}
+
+// The row-by-row walk the attestation used to run: every live row more
+// than `max_age` batches old.
+uint64_t OverdueRowByRow(const Table& t, uint64_t max_age) {
+  uint64_t overdue = 0;
+  for (RowId r = 0; r < t.num_rows(); ++r) {
+    if (t.IsActive(r) && t.current_batch() - t.batch_of(r) > max_age) {
+      ++overdue;
+    }
+  }
+  return overdue;
+}
+
+TEST(AttestationTest, OverdueCountMatchesRowByRowWalk) {
+  Rng shape(31);
+  for (int trial = 0; trial < 60; ++trial) {
+    Table t = Table::Make(Schema::SingleColumn("a", 0, 100)).value();
+    const uint64_t batches = shape.UniformIndex(12);
+    for (uint64_t b = 0; b < batches; ++b) {
+      t.BeginBatch();
+      // Some batches are empty, so batch ids skip in row order.
+      for (size_t i = shape.UniformIndex(3) == 0 ? 0 : shape.UniformIndex(300);
+           i > 0; --i) {
+        ASSERT_TRUE(t.AppendRow({1}).ok());
+      }
+    }
+    const double forget_share = shape.NextDouble();
+    for (RowId r = 0; r < t.num_rows(); ++r) {
+      if (shape.Bernoulli(forget_share)) {
+        ASSERT_TRUE(t.Forget(r).ok());
+      }
+    }
+    for (uint64_t max_age = 0; max_age <= batches + 1; ++max_age) {
+      ASSERT_EQ(CountOverdueRows(t, max_age), OverdueRowByRow(t, max_age))
+          << "trial " << trial << " max_age " << max_age;
+    }
+  }
+}
+
+// The attestation reads the table, not the controller: a row revived
+// behind the vacuum's back is overdue, and the claim fails with it counted.
+TEST(AttestationTest, RevivedExpiredRowFailsTheAttestation) {
+  SimulationConfig c = SmallConfig();
+  c.policy.kind = PolicyKind::kFifo;
+  c.dbsize = 1000;  // the vacuum, not the budget, does the forgetting
+  c.upd_perc = 0.1;
+  c.vacuum_max_age_batches = 2;
+  auto sim = Simulator::Make(c).value();
+  ASSERT_TRUE(sim->Initialize().ok());
+  for (int b = 0; b < 5; ++b) ASSERT_TRUE(sim->StepBatch().ok());
+  obs::SlaAttestation att = sim->sla().Snapshot().at(0).attestation;
+  ASSERT_TRUE(att.passed);
+  ASSERT_EQ(att.overdue_rows, 0u);
+
+  // Row 0 came with the initial load (batch 0) and is long expired.
+  Table& t = sim->mutable_table();
+  ASSERT_FALSE(t.IsActive(0));
+  ASSERT_TRUE(t.Revive(0).ok());
+  EXPECT_EQ(CountOverdueRows(t, c.vacuum_max_age_batches), 1u);
+
+  // Paused, the next batch neither re-forgets row 0 nor expires the
+  // oldest surviving batch, and the attestation counts both.
+  sim->set_amnesia_paused(true);
+  ASSERT_TRUE(sim->StepBatch().ok());
+  att = sim->sla().Snapshot().at(0).attestation;
+  EXPECT_TRUE(att.checked);
+  EXPECT_FALSE(att.passed);
+  const uint64_t want = OverdueRowByRow(sim->table(), c.vacuum_max_age_batches);
+  EXPECT_EQ(att.overdue_rows, want);
+  EXPECT_GT(want, 1u);
+  EXPECT_TRUE(sim->table().IsActive(0));
 }
 
 TEST(SimulatorTest, PolicyAccessorReflectsConfiguredKind) {
